@@ -12,7 +12,6 @@ from .bordism import (
     NONTRIVIAL,
     POINT_SPIN_BORDISM,
     TRIVIAL,
-    UNKNOWN,
     FamilyCertificate,
     SpinBordismClass,
     certify_family,
@@ -64,23 +63,19 @@ from .obstructions import (
     example_scan,
     hitchin_thorpe,
     min_genus,
-    summand_chern_square,
     yamabe_value,
 )
 from .spinc import (
     SpinCondition,
     SpinCStructure,
     TorusTwoForm,
-    W2Report,
     canonical_spinc,
     cup_pairing_matrix,
     dirac_index,
-    has_index_square_root,
     index_chern_form,
     moduli_dimension,
     spin_condition,
     spinc,
-    stiefel_whitney_parities,
 )
 
 __version__ = "0.1.0"

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InapplicableError, UnsupportedFamilyError
+from .errors import InapplicableError, UnsupportedFamilyError, ValidationError
+from .lattice import pairing
 from .manifolds import K3, SP, ManifoldData
 from .spinc import SpinCStructure, moduli_dimension, spin_condition
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
-UNKNOWN = "unknown"
 
 # Point spin bordism groups by dimension.  The d = 1, 2 entries carry the
 # verdicts; the others are standard values kept for display only.
@@ -49,11 +49,31 @@ class SpinBordismClass:
 
 @dataclass(frozen=True)
 class FamilyCertificate:
-    """Witness that (manifold, spin^c) lies in the covered family."""
+    """Witness that (manifold, spin^c) lies in the covered family, with the
+    data the theorems read off it.  ``c1_square`` is the sum of the
+    summands' c1^2, since the forms are orthogonal."""
 
     summand_count: int
     summand_kinds: tuple[str, ...]
-    canonical: bool
+    c1_square: int
+    moduli_dimension: int
+
+    def bordism_class(self) -> SpinBordismClass:
+        """Nontrivial for 2 or 3 summands, trivial for 4 or more.
+
+        A single summand is refused: the moduli space is a point but its
+        class in the 0-dimensional group is not established, so no
+        verdict is offered.
+        """
+        l = self.summand_count
+        if l < 2:
+            raise InapplicableError(
+                "single-summand manifolds are not covered; no bordism verdict "
+                "is established in dimension 0"
+            )
+        d = self.moduli_dimension
+        value = NONTRIVIAL if l in (2, 3) else TRIVIAL
+        return SpinBordismClass(dimension=d, group=POINT_SPIN_BORDISM.get(d, "?"), value=value)
 
 
 def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
@@ -62,7 +82,9 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
     Every summand must be a K3 surface or a product of two odd-genus
     surfaces, and the spin^c class must be the concatenation of the
     summands' canonical classes.  Anything else raises
-    :class:`UnsupportedFamilyError`.
+    :class:`UnsupportedFamilyError`.  The spin condition must hold and
+    the moduli dimension must be l - 1; data that breaks either cannot
+    come from the family and raises :class:`ValidationError`.
     """
     kinds = []
     for summand in manifold.summands:
@@ -86,32 +108,29 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
             "spin^c structure is not the canonical (complex-structure) one "
             "on every summand"
         )
+    condition = spin_condition(manifold, s)
+    if not condition.holds:
+        raise ValidationError(
+            "spin condition fails for a covered-family manifold (index even: "
+            f"{condition.index_even}, index Chern class even: {condition.chern_even}); "
+            "inconsistent input"
+        )
+    l = len(kinds)
+    d = moduli_dimension(manifold, s)
+    if d != l - 1:
+        raise ValidationError(
+            f"moduli dimension {d} does not match {l} summands (expected {l - 1}); "
+            "inconsistent input"
+        )
     return FamilyCertificate(
-        summand_count=len(kinds),
+        summand_count=l,
         summand_kinds=tuple(kinds),
-        canonical=True,
+        c1_square=pairing(manifold.h2, s.c1, s.c1),
+        moduli_dimension=d,
     )
 
 
 def spin_bordism_class(manifold: ManifoldData, s: SpinCStructure) -> SpinBordismClass:
-    """Evaluate the bordism invariant for a certified connected sum.
-
-    Nontrivial for 2 or 3 summands, trivial for 4 or more.  A single
-    summand is refused: the moduli space is a point but its class in the
-    0-dimensional group is not established, so no verdict is offered.
-    """
-    certificate = certify_family(manifold, s)
-    l = certificate.summand_count
-    if l < 2:
-        raise InapplicableError(
-            "single-summand manifolds are not covered; no bordism verdict "
-            "is established in dimension 0"
-        )
-    # The invariant is only defined when the spin condition holds; for a
-    # certified family this is automatic.
-    assert spin_condition(manifold, s).holds
-    d = l - 1
-    assert d == moduli_dimension(manifold, s)
-    group = POINT_SPIN_BORDISM.get(d, "?")
-    value = NONTRIVIAL if l in (2, 3) else TRIVIAL
-    return SpinBordismClass(dimension=d, group=group, value=value)
+    """Evaluate the bordism invariant for a certified connected sum; see
+    :meth:`FamilyCertificate.bordism_class`."""
+    return certify_family(manifold, s).bordism_class()

@@ -14,7 +14,7 @@ from . import report as rpt
 from .bordism import spin_bordism_class
 from .errors import InapplicableError, ValidationError
 from .expressions import parse, resolve
-from .manifolds import ManifoldData
+from .manifolds import SP, ManifoldData
 from .obstructions import (
     SurfaceCandidate,
     einstein_nonexistence,
@@ -174,7 +174,7 @@ def _scan_genera(expr_text: str) -> tuple[int, int, int, int]:
     expr = parse(expr_text)
     genera = []
     for term in expr.terms:
-        if term.gen.kind != "SP":
+        if term.gen.kind != SP:
             raise ValidationError(
                 "--G-from must be a connected sum of exactly two surface "
                 f"products, got generator '{term.gen}'"

@@ -20,6 +20,12 @@ from functools import reduce
 
 from .errors import ParseError, ValidationError
 from .manifolds import (
+    CP2,
+    CP2BAR,
+    K3,
+    S1XS3,
+    S4,
+    SP,
     ManifoldData,
     connected_sum,
     cp2,
@@ -31,9 +37,6 @@ from .manifolds import (
     surface_product,
 )
 
-_SIMPLE_GENERATORS = ("K3", "CP2", "~CP2", "S1xS3", "S4")
-
-
 @dataclass(frozen=True)
 class GenToken:
     """One generator token: a named manifold, a surface product, or a file."""
@@ -43,7 +46,7 @@ class GenToken:
     path: str | None = None
 
     def __str__(self) -> str:
-        if self.kind == "SP":
+        if self.kind == SP:
             return f"SP({self.genera[0]},{self.genera[1]})"
         if self.kind == "FILE":
             return f"@{self.path}"
@@ -153,18 +156,18 @@ def _parse_generator(scanner: _Scanner) -> GenToken:
     if ch == "~":
         scanner.expect("~")
         word, start = scanner.word()
-        if word != "CP2":
+        if word != CP2:
             raise ParseError(f"unknown generator '~{word}'", start - 1)
-        return GenToken("~CP2")
+        return GenToken(CP2BAR)
     word, start = scanner.word()
-    if word == "SP":
+    if word == SP:
         scanner.expect("(")
         g = scanner.integer()
         scanner.expect(",")
         gp = scanner.integer()
         scanner.expect(")")
-        return GenToken("SP", genera=(g, gp))
-    if word in _SIMPLE_GENERATORS:
+        return GenToken(SP, genera=(g, gp))
+    if word in _BUILDERS:
         return GenToken(word)
     if not word:
         raise ParseError("expected a generator", start)
@@ -172,16 +175,16 @@ def _parse_generator(scanner: _Scanner) -> GenToken:
 
 
 _BUILDERS = {
-    "K3": k3,
-    "CP2": cp2,
-    "~CP2": cp2bar,
-    "S1xS3": s1xs3,
-    "S4": s4,
+    K3: k3,
+    CP2: cp2,
+    CP2BAR: cp2bar,
+    S1XS3: s1xs3,
+    S4: s4,
 }
 
 
 def build_generator(token: GenToken) -> ManifoldData:
-    if token.kind == "SP":
+    if token.kind == SP:
         return surface_product(*token.genera)
     if token.kind == "FILE":
         return load_descriptor(token.path)

@@ -22,7 +22,7 @@ from .lattice import Lattice, Vector, as_vector, direct_sum, is_characteristic, 
 K3 = "K3"
 SP = "SP"
 CP2 = "CP2"
-CP2BAR = "CP2BAR"
+CP2BAR = "~CP2"
 S1XS3 = "S1xS3"
 S4 = "S4"
 CUSTOM = "CUSTOM"
@@ -40,8 +40,6 @@ class Summand:
         if self.kind == SP:
             g, gp = self.genera
             return f"SP({g},{gp})"
-        if self.kind == CP2BAR:
-            return "~CP2"
         if self.kind == CUSTOM and self.label:
             return f"CUSTOM({self.label})"
         return self.kind

@@ -12,11 +12,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bordism import NONTRIVIAL, certify_family, spin_bordism_class
+from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
 from .errors import InapplicableError, ValidationError
-from .lattice import is_negative_definite, pairing, signature
+from .lattice import inertia, is_negative_definite
 from .manifolds import ManifoldData, cp2bar, connected_sum, s1xs3, s4, surface_product
 from .spinc import SpinCStructure, canonical_spinc
+
+# Largest r_max a scan accepts.  A row is O(1), so the bound caps the
+# size of the table, not the work per row.
+SCAN_R_MAX = 100_000
+
+Inertia = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,16 @@ class PiRadical:
         return f"{self.coefficient}*sqrt({self.radicand})*pi"
 
 
-def _require_nontrivial(manifold: ManifoldData, s: SpinCStructure) -> int:
-    """Certify the family, require a nontrivial bordism class, return l."""
-    klass = spin_bordism_class(manifold, s)
+def _nontrivial_certificate(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
+    """Certify the family once and require a nontrivial bordism class."""
+    certificate = certify_family(manifold, s)
+    klass = certificate.bordism_class()
     if klass.value != NONTRIVIAL:
         raise InapplicableError(
             f"bordism class is {klass.value} for {klass.dimension + 1} summands; "
             "the obstruction theorems require a nontrivial class"
         )
-    return certify_family(manifold, s).summand_count
+    return certificate
 
 
 def embedding_obstructed(
@@ -89,7 +96,7 @@ def embedding_obstructed(
     False means the inequality is satisfied (no conclusion about
     existence).
     """
-    _require_nontrivial(manifold, s)
+    _nontrivial_certificate(manifold, s)
     if cand.genus < 1:
         raise InapplicableError("adjunction bound requires a surface of positive genus")
     if cand.self_intersection < 0:
@@ -102,7 +109,7 @@ def embedding_obstructed(
 def min_genus(manifold: ManifoldData, s: SpinCStructure, n: int, p: int) -> int:
     """Smallest genus g >= 1 compatible with the adjunction bound for
     self-intersection n and pairing p."""
-    _require_nontrivial(manifold, s)
+    _nontrivial_certificate(manifold, s)
     if n < 0:
         raise InapplicableError(
             "adjunction bound requires nonnegative self-intersection"
@@ -110,20 +117,23 @@ def min_genus(manifold: ManifoldData, s: SpinCStructure, n: int, p: int) -> int:
     return max(1, -(-(n - p + 2) // 2))
 
 
+def _hitchin_thorpe(chi: int, inert: Inertia) -> bool:
+    pos, neg, _ = inert
+    return 3 * abs(pos - neg) <= 2 * chi
+
+
 def hitchin_thorpe(x: ManifoldData) -> bool:
     """3|tau| <= 2*chi, the topological necessary condition for an
     Einstein metric."""
-    return 3 * abs(signature(x.h2)) <= 2 * x.euler
+    return _hitchin_thorpe(x.euler, inertia(x.h2))
 
 
-def summand_chern_square(manifold: ManifoldData, s: SpinCStructure) -> int:
-    """Sum over summands of the squares of the canonical Chern classes.
-
-    For a certified connected sum the forms are orthogonal, so this
-    equals c1^2 of the total class.
-    """
-    certify_family(manifold, s)
-    return pairing(manifold.h2, s.c1, s.c1)
+def _einstein_obstructed(certificate: FamilyCertificate, chi2: int, inert2: Inertia) -> bool:
+    pos, neg, zero = inert2
+    if pos or zero:
+        raise InapplicableError("N2 is not negative definite")
+    tau2 = pos - neg
+    return 12 * certificate.summand_count - 3 * (2 * chi2 + 3 * tau2) >= certificate.c1_square
 
 
 def einstein_nonexistence(
@@ -136,12 +146,8 @@ def einstein_nonexistence(
     12*l - 3*(2*chi(N2) + 3*tau(N2)) >= sum of the summands' c1^2,
     evaluated exactly with cleared denominators.
     """
-    l = _require_nontrivial(manifold, s)
-    if not is_negative_definite(n2.h2):
-        raise InapplicableError("N2 is not negative definite")
-    chern_square = summand_chern_square(manifold, s)
-    tau2 = signature(n2.h2)
-    return 12 * l - 3 * (2 * n2.euler + 3 * tau2) >= chern_square
+    certificate = _nontrivial_certificate(manifold, s)
+    return _einstein_obstructed(certificate, n2.euler, inertia(n2.h2))
 
 
 def yamabe_value(
@@ -156,7 +162,7 @@ def yamabe_value(
     curvature; the metric hypothesis is not decidable from our data and
     must be asserted by the caller.
     """
-    _require_nontrivial(manifold, s)
+    certificate = _nontrivial_certificate(manifold, s)
     if not is_negative_definite(n1.h2):
         raise InapplicableError("metric hypothesis not certified: N1 is not negative definite")
     if not n1_admits_nonneg_scalar:
@@ -164,8 +170,16 @@ def yamabe_value(
             "metric hypothesis not certified: N1 must be asserted to admit a "
             "metric with nonnegative scalar curvature"
         )
-    chern_square = summand_chern_square(manifold, s)
-    return PiRadical.of(-4, 2 * chern_square)
+    return PiRadical.of(-4, 2 * certificate.c1_square)
+
+
+def _sum_invariants(pieces: list[tuple[int, int, Inertia]]) -> tuple[int, Inertia]:
+    """(chi, inertia) of a connected sum from (count, chi, inertia) per
+    piece kind: chi = sum of chi_i - 2(k-1) over k pieces, inertia adds."""
+    k = sum(count for count, _, _ in pieces)
+    chi = sum(count * c for count, c, _ in pieces) - 2 * (k - 1)
+    inert = tuple(sum(count * i[t] for count, _, i in pieces) for t in range(3))
+    return chi, inert
 
 
 def example_scan(
@@ -174,11 +188,14 @@ def example_scan(
     """Scan blow-up counts r for the sum of two odd-genus surface products
     with r copies of reversed CP^2 and s copies of S^1 x S^3.
 
-    For each r in 0..r_max the Einstein-nonexistence and Hitchin-Thorpe
-    verdicts are computed through the general operations on assembled
-    manifold data.  The returned table also carries the closed-form
-    window: the rational lower bound (8/3)G - 4s - 4 and the integer
-    window of r values satisfying both verdicts.
+    The fixed sum M of the two products is certified once.  For each r in
+    0..r_max, chi and the inertia of N2 = S^4 # s S^1xS^3 # r ~CP^2 and of
+    M # N2 are added up from the pieces, and the Einstein-nonexistence and
+    Hitchin-Thorpe verdicts are evaluated on them with the same formulas
+    as :func:`einstein_nonexistence` and :func:`hitchin_thorpe`.  The
+    returned table also carries the closed-form window: the rational lower
+    bound (8/3)G - 4s - 4 and the integer window of r values satisfying
+    both verdicts.
     """
     for g in (g1, g1p, g2, g2p):
         if g < 1 or g % 2 == 0:
@@ -187,24 +204,25 @@ def example_scan(
         raise ValidationError(f"s must be nonnegative, got {s}")
     if r_max < 1:
         raise ValidationError(f"r_max must be positive, got {r_max}")
+    if r_max > SCAN_R_MAX:
+        raise ValidationError(f"r_max must be at most {SCAN_R_MAX}, got {r_max}")
 
     m = connected_sum(surface_product(g1, g1p), surface_product(g2, g2p))
-    sc = canonical_spinc(m)
+    certificate = _nontrivial_certificate(m, canonical_spinc(m))
     big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)
 
-    n2 = s4()
-    for _ in range(s):
-        n2 = connected_sum(n2, s1xs3())
+    m_inv, s4_inv, s1xs3_inv, cp2bar_inv = (
+        (x.euler, inertia(x.h2)) for x in (m, s4(), s1xs3(), cp2bar())
+    )
     rows = []
     for r in range(r_max + 1):
-        if r > 0:
-            n2 = connected_sum(n2, cp2bar())
-        x = connected_sum(m, n2)
+        n2_inv = _sum_invariants([(1, *s4_inv), (s, *s1xs3_inv), (r, *cp2bar_inv)])
+        x_inv = _sum_invariants([(1, *m_inv), (1, *n2_inv)])
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": einstein_nonexistence(m, sc, n2),
-                "hitchin_thorpe": hitchin_thorpe(x),
+                "einstein_obstructed": _einstein_obstructed(certificate, *n2_inv),
+                "hitchin_thorpe": _hitchin_thorpe(*x_inv),
             }
         )
 

@@ -15,13 +15,12 @@ from .errors import InapplicableError
 from .lattice import determinant, signature
 from .manifolds import ManifoldData
 from .spinc import (
+    SpinCondition,
     SpinCStructure,
+    TorusTwoForm,
     cup_pairing_matrix,
     dirac_index,
-    index_chern_form,
     moduli_dimension,
-    spin_condition,
-    stiefel_whitney_parities,
 )
 
 SCHEMA_VERSION = 1
@@ -52,14 +51,21 @@ def manifold_summary(m: ManifoldData) -> dict:
 
 
 def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str) -> dict:
-    chern = index_chern_form(m, s)
-    condition = spin_condition(m, s)
-    w2 = stiefel_whitney_parities(m, s, m_parity=0)
+    """The spin^c section, derived from one cup-pairing matrix.
+
+    ``w2`` is the mod-2 data of the approximation bundles for an even
+    approximation dimension (``m_parity`` 0): torus part = index Chern
+    matrix mod 2, h coefficient = Dirac index mod 2, e*h coefficient 0.
+    """
+    cup = cup_pairing_matrix(m, s)
+    chern = TorusTwoForm.halving(cup)
+    index = dirac_index(m, s)
+    condition = SpinCondition.of(index, chern)
     return {
         "c1": list(s.c1),
         "source": source,
-        "dirac_index": dirac_index(m, s),
-        "cup_pairing_matrix": [list(r) for r in cup_pairing_matrix(m, s)],
+        "dirac_index": index,
+        "cup_pairing_matrix": [list(r) for r in cup],
         "index_chern_matrix": [list(r) for r in chern.entries],
         "condition": {
             "index_even": condition.index_even,
@@ -69,9 +75,9 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str) -> dict:
         "moduli_dimension": moduli_dimension(m, s),
         "w2": {
             "m_parity": 0,
-            "torus_part_zero": all(x == 0 for row in w2.torus_part_mod2 for x in row),
-            "h_coefficient": w2.h_coefficient_mod2,
-            "e_h_coefficient": w2.e_h_coefficient_mod2,
+            "torus_part_zero": condition.chern_even,
+            "h_coefficient": index % 2,
+            "e_h_coefficient": 0,
         },
     }
 
@@ -159,7 +165,7 @@ REPORT_SCHEMA = {
                 "applicable": {"type": "boolean"},
                 "dimension": {"type": "integer"},
                 "group": {"type": "string"},
-                "value": {"enum": ["trivial", "nontrivial", "unknown"]},
+                "value": {"enum": ["trivial", "nontrivial"]},
                 "reason": {"type": "string"},
             },
         },

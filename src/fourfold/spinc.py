@@ -47,6 +47,23 @@ class TorusTwoForm:
                 if self.entries[i][j] != -self.entries[j][i]:
                     raise ValidationError(f"torus 2-form not antisymmetric at ({i},{j})")
 
+    @classmethod
+    def halving(cls, pairings: tuple[tuple[int, ...], ...]) -> "TorusTwoForm":
+        """Half of a cup-pairing matrix.  An odd pairing contradicts the
+        integrality of the index Chern class and flags corrupt input data."""
+        rows = []
+        for i, row in enumerate(pairings):
+            out = []
+            for j, x in enumerate(row):
+                if x % 2 != 0:
+                    raise IntegralityError(
+                        f"cup pairing at ({i},{j}) is odd ({x}); "
+                        "half-integral index Chern class is not allowed"
+                    )
+                out.append(x // 2)
+            rows.append(tuple(out))
+        return cls(tuple(rows))
+
     @property
     def size(self) -> int:
         return len(self.entries)
@@ -62,32 +79,14 @@ class SpinCondition:
     index_even: bool
     chern_even: bool
 
+    @classmethod
+    def of(cls, index: int, chern: TorusTwoForm) -> "SpinCondition":
+        """The conditions read off the Dirac index and the index Chern class."""
+        return cls(index_even=index % 2 == 0, chern_even=chern.all_even())
+
     @property
     def holds(self) -> bool:
         return self.index_even and self.chern_even
-
-
-@dataclass(frozen=True)
-class W2Report:
-    """Mod-2 data of the second Stiefel-Whitney classes of the two bundles
-    whose sections cut out the moduli space.
-
-    ``torus_part_mod2`` is the half-pairing matrix reduced mod 2;
-    ``h_coefficient_mod2`` and ``e_h_coefficient_mod2`` are the
-    coefficients of c1 of the tautological line bundle, which depend on
-    the approximation dimension only through its parity.
-    """
-
-    torus_part_mod2: tuple[tuple[int, ...], ...]
-    h_coefficient_mod2: int
-    e_h_coefficient_mod2: int
-
-    def vanishes(self) -> bool:
-        return (
-            self.h_coefficient_mod2 == 0
-            and self.e_h_coefficient_mod2 == 0
-            and all(x == 0 for row in self.torus_part_mod2 for x in row)
-        )
 
 
 def spinc(manifold: ManifoldData, coords) -> SpinCStructure:
@@ -136,60 +135,14 @@ def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> tuple[tuple
 def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
     """First Chern class of the Dirac index bundle on the Jacobian torus.
 
-    Entries are half the cup pairings.  An odd pairing contradicts the
-    integrality of the class and flags corrupt input data.
+    Entries are half the cup pairings; see :meth:`TorusTwoForm.halving`.
     """
-    t = cup_pairing_matrix(manifold, s)
-    rows = []
-    for i, row in enumerate(t):
-        out = []
-        for j, x in enumerate(row):
-            if x % 2 != 0:
-                raise IntegralityError(
-                    f"cup pairing at ({i},{j}) is odd ({x}); "
-                    "half-integral index Chern class is not allowed"
-                )
-            out.append(x // 2)
-        rows.append(tuple(out))
-    return TorusTwoForm(tuple(rows))
+    return TorusTwoForm.halving(cup_pairing_matrix(manifold, s))
 
 
 def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:
     """Evaluate both parity conditions for the pair (manifold, spin^c)."""
-    index_even = dirac_index(manifold, s) % 2 == 0
-    chern_even = index_chern_form(manifold, s).all_even()
-    return SpinCondition(index_even=index_even, chern_even=chern_even)
-
-
-def has_index_square_root(manifold: ManifoldData, s: SpinCStructure) -> bool:
-    """Whether det of the index bundle admits a square root line bundle.
-
-    Equivalent to c1 of the index bundle being even, i.e. the second
-    parity condition alone.
-    """
-    return index_chern_form(manifold, s).all_even()
-
-
-def stiefel_whitney_parities(
-    manifold: ManifoldData, s: SpinCStructure, m_parity: int = 0
-) -> W2Report:
-    """w2 data of the approximation bundles, as functions of m mod 2.
-
-    ``m_parity`` is the parity of the complex dimension of the chosen
-    finite-dimensional target space; the bundles themselves are never
-    constructed.  With m_parity = 0 the report vanishes exactly when the
-    spin condition holds.
-    """
-    if m_parity not in (0, 1):
-        raise ValidationError(f"m_parity must be 0 or 1, got {m_parity}")
-    c = index_chern_form(manifold, s)
-    torus = tuple(tuple(x % 2 for x in row) for row in c.entries)
-    a = dirac_index(manifold, s)
-    return W2Report(
-        torus_part_mod2=torus,
-        h_coefficient_mod2=(m_parity + a) % 2,
-        e_h_coefficient_mod2=m_parity,
-    )
+    return SpinCondition.of(dirac_index(manifold, s), index_chern_form(manifold, s))
 
 
 def moduli_dimension(manifold: ManifoldData, s: SpinCStructure) -> int:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +13,19 @@ from fourfold.bordism import (
     certify_family,
     spin_bordism_class,
 )
-from fourfold.errors import InapplicableError, UnsupportedFamilyError
-from fourfold.manifolds import connected_sum, cp2bar, custom, descriptor_of, k3, surface_product
+from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
+from fourfold.lattice import Lattice
+from fourfold.manifolds import (
+    K3,
+    ManifoldData,
+    Summand,
+    connected_sum,
+    cp2bar,
+    custom,
+    descriptor_of,
+    k3,
+    surface_product,
+)
 from fourfold.spinc import canonical_spinc, moduli_dimension, spinc
 
 GENERATOR_POOL = [
@@ -31,7 +46,14 @@ def _sum_of(builders):
 def test_certify_k3_sum():
     m = connected_sum(k3(), k3())
     cert = certify_family(m, canonical_spinc(m))
-    assert cert == FamilyCertificate(2, ("K3", "K3"), True)
+    assert cert == FamilyCertificate(2, ("K3", "K3"), 0, 1)
+
+
+def test_certify_c1_square():
+    m = connected_sum(surface_product(3, 3), surface_product(3, 3))
+    assert certify_family(m, canonical_spinc(m)).c1_square == 64
+    m = connected_sum(k3(), k3())
+    assert certify_family(m, canonical_spinc(m)).c1_square == 0
 
 
 def test_certify_mixed_sum():
@@ -115,3 +137,66 @@ def test_bordism_dimension_matches_moduli_dimension():
         m = _sum_of(builders)
         s = canonical_spinc(m)
         assert spin_bordism_class(m, s).dimension == moduli_dimension(m, s)
+
+
+def _mislabelled_k3_pair():
+    # Tagged as K3 # K3 but carrying the data of ~CP2: the spin condition
+    # holds, the moduli dimension is -1 instead of 1.
+    return ManifoldData(
+        b1=0,
+        h2=Lattice(((-1,),)),
+        euler=3,
+        summands=(Summand(K3), Summand(K3)),
+        canonical_c1=(1,),
+    )
+
+
+def test_bordism_rejects_moduli_dimension_mismatch():
+    m = _mislabelled_k3_pair()
+    with pytest.raises(ValidationError, match="moduli dimension -1 does not match 2 summands"):
+        spin_bordism_class(m, canonical_spinc(m))
+
+
+def test_bordism_rejects_failed_spin_condition():
+    # Tagged as K3 # K3 but carrying 8<1> with c1^2 = 16: Dirac index 1.
+    m = ManifoldData(
+        b1=0,
+        h2=Lattice(tuple(tuple(int(i == j) for j in range(8)) for i in range(8))),
+        euler=10,
+        summands=(Summand(K3), Summand(K3)),
+        canonical_c1=(3, 1, 1, 1, 1, 1, 1, 1),
+    )
+    with pytest.raises(ValidationError, match="spin condition fails"):
+        spin_bordism_class(m, canonical_spinc(m))
+
+
+def test_bordism_rejects_moduli_dimension_mismatch_without_asserts():
+    # The check must not be an assert, which ``python -O`` strips.
+    script = """
+import sys
+from fourfold.bordism import spin_bordism_class
+from fourfold.errors import ValidationError
+from fourfold.lattice import Lattice
+from fourfold.manifolds import K3, ManifoldData, Summand
+from fourfold.spinc import canonical_spinc
+
+m = ManifoldData(b1=0, h2=Lattice(((-1,),)), euler=3,
+                 summands=(Summand(K3), Summand(K3)), canonical_c1=(1,))
+print("optimize", sys.flags.optimize)
+try:
+    print(spin_bordism_class(m, canonical_spinc(m)))
+except ValidationError as exc:
+    print(exc)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert "moduli dimension -1 does not match 2 summands" in lines[1]

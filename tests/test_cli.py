@@ -60,6 +60,21 @@ def test_analyze_bad_c1_is_validation_error(capsys):
     assert "characteristic" in err
 
 
+@pytest.mark.parametrize(
+    "expression, torus_part_zero, h_coefficient",
+    [("K3", True, 0), ("SP(2,2)", False, 1)],
+)
+def test_w2_block(capsys, expression, torus_part_zero, h_coefficient):
+    code, report, _ = run_json(capsys, "analyze", expression)
+    assert code == 0
+    assert report["spinc"]["w2"] == {
+        "m_parity": 0,
+        "torus_part_zero": torus_part_zero,
+        "h_coefficient": h_coefficient,
+        "e_h_coefficient": 0,
+    }
+
+
 def test_star_command(capsys):
     code, report, _ = run_json(capsys, "star", "SP(2,2)")
     assert code == 0
@@ -162,6 +177,20 @@ def test_scan_rejects_wrong_shape(capsys):
     code, _, err = run_cli(capsys, "scan", "--G-from", "K3 # SP(3,3)", "--r-max", "5")
     assert code == 1
     assert "surface products" in err
+
+
+def test_scan_rejects_r_max_over_bound(capsys):
+    from fourfold.obstructions import SCAN_R_MAX
+
+    code, out, err = run_cli(
+        capsys, "scan", "--G-from", "2*SP(3,3)", "--r-max", str(SCAN_R_MAX + 1)
+    )
+    assert code == 1
+    assert out == ""
+    assert f"r_max must be at most {SCAN_R_MAX}" in err
+    code, _, err = run_cli(capsys, "scan", "--G-from", "2*SP(3,3)", "--r-max", "1000000000")
+    assert code == 1
+    assert str(SCAN_R_MAX) in err
 
 
 def test_scan_text_table(capsys):

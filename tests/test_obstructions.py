@@ -13,7 +13,6 @@ from fourfold.obstructions import (
     example_scan,
     hitchin_thorpe,
     min_genus,
-    summand_chern_square,
     yamabe_value,
 )
 from fourfold.spinc import canonical_spinc
@@ -110,13 +109,6 @@ def test_hitchin_thorpe():
     assert hitchin_thorpe(s4()) is True
     assert hitchin_thorpe(k3()) is True  # equality: 48 <= 48
     assert hitchin_thorpe(repeat_sum(cp2bar, 50)) is False
-
-
-def test_summand_chern_square():
-    m, s = sp33_pair()
-    assert summand_chern_square(m, s) == 64
-    m, s = k3_pair()
-    assert summand_chern_square(m, s) == 0
 
 
 def test_einstein_worked_example():

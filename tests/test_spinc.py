@@ -4,16 +4,15 @@ import pytest
 
 from fourfold.errors import IntegralityError, ValidationError
 from fourfold.manifolds import connected_sum, cp2bar, custom, k3, surface_product
+from fourfold.report import spinc_summary
 from fourfold.spinc import (
     canonical_spinc,
     cup_pairing_matrix,
     dirac_index,
-    has_index_square_root,
     index_chern_form,
     moduli_dimension,
     spin_condition,
     spinc,
-    stiefel_whitney_parities,
 )
 
 GENERATOR_POOL = [
@@ -139,27 +138,21 @@ def test_spin_condition_even_genus_fails_chern_parity():
     assert not cond.holds
 
 
-def test_has_index_square_root():
-    m = k3()
-    assert has_index_square_root(m, canonical_spinc(m))
-    m = surface_product(3, 3)
-    assert has_index_square_root(m, canonical_spinc(m))
-    m = surface_product(2, 2)
-    assert not has_index_square_root(m, canonical_spinc(m))
+def _w2(m):
+    return spinc_summary(m, canonical_spinc(m), "canonical")["w2"]
 
 
 def test_w2_k3_parities():
-    m = k3()
-    s = canonical_spinc(m)
-    assert stiefel_whitney_parities(m, s, 0).vanishes()
-    r = stiefel_whitney_parities(m, s, 1)
-    assert (r.h_coefficient_mod2, r.e_h_coefficient_mod2) == (1, 1)
+    assert _w2(k3()) == {
+        "m_parity": 0,
+        "torus_part_zero": True,
+        "h_coefficient": 0,
+        "e_h_coefficient": 0,
+    }
 
 
 def test_w2_torus_part_nonzero_for_even_genus():
-    m = surface_product(2, 2)
-    r = stiefel_whitney_parities(m, canonical_spinc(m), 0)
-    assert any(any(row) for row in r.torus_part_mod2)
+    assert _w2(surface_product(2, 2))["torus_part_zero"] is False
 
 
 def test_w2_vanishes_iff_condition_holds():
@@ -170,14 +163,9 @@ def test_w2_vanishes_iff_condition_holds():
     ]
     for build in cases:
         m = build()
-        s = canonical_spinc(m)
-        assert stiefel_whitney_parities(m, s, 0).vanishes() == spin_condition(m, s).holds
-
-
-def test_w2_rejects_bad_parity():
-    m = k3()
-    with pytest.raises(ValidationError, match="m_parity"):
-        stiefel_whitney_parities(m, canonical_spinc(m), 2)
+        w2 = _w2(m)
+        vanishes = w2["torus_part_zero"] and w2["h_coefficient"] == w2["e_h_coefficient"] == 0
+        assert vanishes == spin_condition(m, canonical_spinc(m)).holds
 
 
 def test_moduli_dimension_generators():
