@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InapplicableError, UnsupportedFamilyError, ValidationError
 from .lattice import pairing
 from .manifolds import K3, SP, ManifoldData
-from .spinc import SpinCStructure, moduli_dimension, spin_condition
+from .spinc import SpinCondition, SpinCStructure, moduli_dimension, spin_condition
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
@@ -76,39 +76,46 @@ class FamilyCertificate:
         return SpinBordismClass(dimension=d, group=POINT_SPIN_BORDISM.get(d, "?"), value=value)
 
 
-def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
-    """Check membership in the covered family.
+def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> tuple[str, ...]:
+    """Names of the summands of a pair in the covered family.
 
     Every summand must be a K3 surface or a product of two odd-genus
     surfaces, and the spin^c class must be the concatenation of the
     summands' canonical classes.  Anything else raises
-    :class:`UnsupportedFamilyError`.  The spin condition must hold and
-    the moduli dimension must be l - 1; data that breaks either cannot
-    come from the family and raises :class:`ValidationError`.
+    :class:`UnsupportedFamilyError`.
     """
-    kinds = []
     for summand in manifold.summands:
-        if summand.kind == K3:
-            kinds.append(str(summand))
-        elif summand.kind == SP:
-            g, gp = summand.genera
-            if g % 2 == 0 or gp % 2 == 0:
-                raise UnsupportedFamilyError(
-                    f"summand {summand} has even genus; only odd-genus surface "
-                    "products are covered"
-                )
-            kinds.append(str(summand))
-        else:
+        if summand.kind not in (K3, SP):
             raise UnsupportedFamilyError(
                 f"summand {summand} is outside the covered family "
                 "(K3 or odd-genus surface products only)"
+            )
+        if summand.kind == SP and any(g % 2 == 0 for g in summand.genera):
+            raise UnsupportedFamilyError(
+                f"summand {summand} has even genus; only odd-genus surface "
+                "products are covered"
             )
     if manifold.canonical_c1 is None or s.c1 != manifold.canonical_c1:
         raise UnsupportedFamilyError(
             "spin^c structure is not the canonical (complex-structure) one "
             "on every summand"
         )
-    condition = spin_condition(manifold, s)
+    return tuple(str(summand) for summand in manifold.summands)
+
+
+def certify_family(
+    manifold: ManifoldData, s: SpinCStructure, condition: SpinCondition | None = None
+) -> FamilyCertificate:
+    """Check membership in the covered family (:func:`covered_summands`).
+
+    The spin condition must hold and the moduli dimension must be l - 1;
+    data that breaks either cannot come from the family and raises
+    :class:`ValidationError`.  ``condition`` is the pair's spin condition
+    if the caller has derived it already.
+    """
+    kinds = covered_summands(manifold, s)
+    if condition is None:
+        condition = spin_condition(manifold, s)
     if not condition.holds:
         raise ValidationError(
             "spin condition fails for a covered-family manifold (index even: "
@@ -124,7 +131,7 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
         )
     return FamilyCertificate(
         summand_count=l,
-        summand_kinds=tuple(kinds),
+        summand_kinds=kinds,
         c1_square=pairing(manifold.h2, s.c1, s.c1),
         moduli_dimension=d,
     )

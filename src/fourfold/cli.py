@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import report as rpt
-from .bordism import spin_bordism_class
+from .bordism import covered_summands
 from .errors import InapplicableError, ValidationError
 from .expressions import parse, resolve
 from .manifolds import SP, ManifoldData
@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> dict:
         report["spinc_skipped"] = str(exc)
     else:
         report["spinc"] = rpt.spinc_summary(m, s, source)
-        report["bordism"] = rpt.bordism_summary(m, s)
+        report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
     report["hitchin_thorpe"] = hitchin_thorpe(m)
     return report
 
@@ -91,16 +91,14 @@ def _cmd_star(args) -> dict:
 def _cmd_sigma0(args) -> dict:
     m = _manifold(args.expression)
     s, source = _spinc_for(m, args.c1)
-    klass = spin_bordism_class(m, s)
+    # Uncovered pairs are refused before the spin^c section checks their data.
+    covered_summands(m, s)
     report = rpt.base_report("sigma0", _echo(args))
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = rpt.spinc_summary(m, s, source)
-    report["bordism"] = {
-        "applicable": True,
-        "dimension": klass.dimension,
-        "group": klass.group,
-        "value": klass.value,
-    }
+    report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
+    if not report["bordism"]["applicable"]:
+        raise InapplicableError(report["bordism"]["reason"])
     report["result"] = dict(report["bordism"])
     return report
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ShapeError, ValidationError
 
@@ -21,38 +21,65 @@ Vector = tuple[int, ...]
 class Lattice:
     """Finitely generated free abelian group with a symmetric integer form.
 
-    ``form`` is the Gram matrix of the pairing in a fixed basis, stored as
-    a tuple of row tuples.  Internal constructors build structurally
-    symmetric matrices; data from outside the package must come in through
-    :meth:`from_rows`, which checks symmetry and squareness.
+    ``rows[i]`` lists the nonzero entries of row i of the Gram matrix as
+    ``(column, value)`` pairs by increasing column, so equality and hashing
+    cost O(nnz).  Internal constructors build structurally symmetric forms;
+    data from outside the package must come in through :meth:`from_rows`,
+    which checks types, squareness and symmetry.
     """
 
-    form: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def rank(self) -> int:
-        return len(self.form)
+        return len(self.rows)
+
+    @property
+    def form(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, O(rank^2): for export only."""
+        return tuple(tuple(dict(row).get(j, 0) for j in range(self.rank)) for row in self.rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Lattice":
-        """Validating constructor for externally supplied Gram matrices."""
-        form = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(form)
-        for i, row in enumerate(form):
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Lattice":
+        """Validating constructor for an externally supplied dense Gram
+        matrix: a list of lists of ``int``, where ``bool`` is no integer."""
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in rows
+        ):
+            raise ValidationError("form must be a list of lists of integers")
+        n = len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ShapeError(f"form row {i} has length {len(row)}, expected {n}")
         for i in range(n):
             for j in range(i + 1, n):
-                if form[i][j] != form[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise ValidationError(
                         f"form is not symmetric at ({i},{j}): "
-                        f"{form[i][j]} != {form[j][i]}"
+                        f"{rows[i][j]} != {rows[j][i]}"
                     )
-        return cls(form)
+        return cls(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
+
+    @classmethod
+    def from_upper(cls, rank: int, upper: Mapping[tuple[int, int], int]) -> "Lattice":
+        """The form with entries ``{(i, j): x}``, i <= j, mirrored below
+        the diagonal; entries not listed are zero."""
+        rows: list[dict[int, int]] = [{} for _ in range(rank)]
+        for (i, j), x in upper.items():
+            if x:
+                rows[i][j] = rows[j][i] = x
+        return cls(tuple(tuple(sorted(row.items())) for row in rows))
 
 
-def as_vector(coords: Iterable[int]) -> Vector:
-    return tuple(int(x) for x in coords)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def as_vector(coords: Sequence[int], name: str = "vector") -> Vector:
+    """Validating constructor for an externally supplied list of ``int``."""
+    if not isinstance(coords, (list, tuple)) or not all(_is_int(x) for x in coords):
+        raise ValidationError(f"{name} must be a list of integers")
+    return tuple(coords)
 
 
 def zero_vector(lat: Lattice) -> Vector:
@@ -60,20 +87,12 @@ def zero_vector(lat: Lattice) -> Vector:
 
 
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
-    n = len(entries)
-    return Lattice(
-        tuple(tuple(int(entries[i]) if i == j else 0 for j in range(n)) for i in range(n))
-    )
+    return Lattice.from_upper(len(entries), {(i, i): int(x) for i, x in enumerate(entries)})
 
 
 def direct_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Orthogonal direct sum; block-diagonal Gram matrix."""
-    ra, rb = a.rank, b.rank
-    pad_a = (0,) * rb
-    pad_b = (0,) * ra
-    rows = [row + pad_a for row in a.form]
-    rows += [pad_b + row for row in b.form]
-    return Lattice(tuple(rows))
+    """Orthogonal direct sum: b's rows follow a's, shifted by a's rank."""
+    return Lattice(a.rows + tuple(tuple((j + a.rank, x) for j, x in row) for row in b.rows))
 
 
 def _check_length(lat: Lattice, v: Sequence[int], name: str) -> None:
@@ -82,90 +101,97 @@ def _check_length(lat: Lattice, v: Sequence[int], name: str) -> None:
 
 
 def pairing(lat: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
-    """Evaluate the bilinear form x^T Q y.
-
-    Skips zero entries, so pairings of sparse vectors (cup products,
-    Chern classes) stay cheap even at large rank.
-    """
+    """Evaluate the bilinear form x^T Q y over the nonzero entries of the
+    rows where x is nonzero."""
     _check_length(lat, x, "x")
     _check_length(lat, y, "y")
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    if not ys:
-        return 0
-    form = lat.form
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = form[i]
-            total += xi * sum(row[j] * yj for j, yj in ys)
-    return total
+    return sum(xi * sum(q * y[j] for j, q in lat.rows[i]) for i, xi in enumerate(x) if xi)
+
+
+def _blocks(lat: Lattice) -> Iterator[list[list[int]]]:
+    """The dense Gram matrix of each connected component of the graph of
+    nonzero entries, found by union-find in O(nnz); a zero row is a 1x1
+    zero block."""
+    root = list(range(lat.rank))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, row in enumerate(lat.rows):
+        for j, _ in row:
+            root[find(j)] = find(i)
+    members: dict[int, list[int]] = {}
+    for i in range(lat.rank):
+        members.setdefault(find(i), []).append(i)
+    for component in members.values():
+        local = {i: t for t, i in enumerate(component)}
+        block = [[0] * len(component) for _ in component]
+        for out, i in zip(block, component):
+            for j, x in lat.rows[i]:
+                out[local[j]] = x
+        yield block
 
 
 @lru_cache(maxsize=64)
 def inertia(lat: Lattice) -> tuple[int, int, int]:
     """Return (positive, negative, zero) inertia indices of the form.
 
-    Congruent diagonalization over the rationals: symmetric pivoting with
-    exact ``Fraction`` arithmetic.  When the remaining diagonal is all
-    zero, a nonzero off-diagonal entry (i,j) is promoted to the diagonal
-    by adding row/column j to row/column i, which makes the (i,i) entry
-    2*a[i][j]; an all-zero remaining block contributes only zeros.
-    Sylvester's law makes the sign counts basis independent.
+    Congruent diagonalization over the rationals of each connected
+    component, whose indices add: symmetric pivoting with exact
+    ``Fraction`` arithmetic.  When the remaining diagonal is all zero, a
+    nonzero off-diagonal entry (i,j) is promoted to the diagonal by adding
+    row/column j to row/column i, which makes the (i,i) entry 2*a[i][j];
+    an all-zero remaining block contributes only zeros.  Sylvester's law
+    makes the sign counts basis independent.
 
     Cached: connected-sum pipelines evaluate several invariants of the
-    same lattice in a row.
+    same lattice in a row.  A hit hashes the sparse rows, O(nnz).
     """
-    n = lat.rank
-    if n == 0:
-        return (0, 0, 0)
-    a = [list(row) for row in lat.form]
     pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is None:
-                pair = _first_offdiagonal(a, k, n)
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
-                for t in range(k, n):
-                    a[i][t] += a[j][t]
-                for t in range(k, n):
-                    a[t][i] += a[t][j]
-                j = i
-            if j != k:
-                a[k], a[j] = a[j], a[k]
-                for t in range(k, n):
-                    a[t][k], a[t][j] = a[t][j], a[t][k]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        col = [(i, a[i][k]) for i in range(k + 1, n) if a[i][k]]
-        for i, ci in col:
-            fi = Fraction(ci) / Fraction(p)
-            row_i = a[i]
-            for j, cj in col:
-                if j >= i:
-                    v = a[i][j] - fi * cj
-                    row_i[j] = v
-                    if j != i:
-                        a[j][i] = v
-            row_i[k] = 0
-            a[k][i] = 0
+    for a in _blocks(lat):
+        n = len(a)
+        for k in range(n):
+            if a[k][k] == 0:
+                j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+                if j is None:
+                    pair = next(
+                        ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+                    )
+                    if pair is None:
+                        zero += n - k
+                        break
+                    i, j = pair
+                    # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
+                    for t in range(k, n):
+                        a[i][t] += a[j][t]
+                    for t in range(k, n):
+                        a[t][i] += a[t][j]
+                    j = i
+                if j != k:
+                    a[k], a[j] = a[j], a[k]
+                    for t in range(k, n):
+                        a[t][k], a[t][j] = a[t][j], a[t][k]
+            p = a[k][k]
+            if p > 0:
+                pos += 1
+            else:
+                neg += 1
+            col = [(i, a[i][k]) for i in range(k + 1, n) if a[i][k]]
+            for i, ci in col:
+                fi = Fraction(ci) / Fraction(p)
+                row_i = a[i]
+                for j, cj in col:
+                    if j >= i:
+                        v = a[i][j] - fi * cj
+                        row_i[j] = v
+                        if j != i:
+                            a[j][i] = v
+                row_i[k] = 0
+                a[k][i] = 0
     return (pos, neg, zero)
-
-
-def _first_offdiagonal(a, k, n):
-    for i in range(k, n):
-        row = a[i]
-        for j in range(i + 1, n):
-            if row[j]:
-                return (i, j)
-    return None
 
 
 def signature(lat: Lattice) -> int:
@@ -188,34 +214,29 @@ def is_negative_definite(lat: Lattice) -> bool:
 def is_characteristic(lat: Lattice, c: Sequence[int]) -> bool:
     """Whether Q(c, x) == Q(x, x) mod 2 for every basis vector x."""
     _check_length(lat, c, "c")
-    form = lat.form
-    n = lat.rank
-    qc = [0] * n
-    for j, cj in enumerate(c):
-        if cj:
-            row = form[j]
-            for i in range(n):
-                qc[i] += row[i] * cj
-    return all((qc[i] - form[i][i]) % 2 == 0 for i in range(n))
+    return all(
+        sum(x * (c[j] - (j == i)) for j, x in row) % 2 == 0 for i, row in enumerate(lat.rows)
+    )
 
 
 def determinant(lat: Lattice) -> int:
-    """Exact determinant of the Gram matrix (Bareiss elimination)."""
-    n = lat.rank
-    if n == 0:
-        return 1
-    a = [list(row) for row in lat.form]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of the Gram matrix: the product over connected
+    components of Bareiss elimination on each."""
+    det = 1
+    for a in _blocks(lat):
+        n = len(a)
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                if swap is None:
+                    return 0
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        det *= sign * a[n - 1][n - 1]
+    return det

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .lattice import Lattice, Vector, as_vector, direct_sum, is_characteristic, zero_vector
+from .lattice import (
+    Lattice, Vector, as_vector, diagonal_lattice, direct_sum, is_characteristic, zero_vector
+)
 
 K3 = "K3"
 SP = "SP"
@@ -105,13 +107,12 @@ _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 
 
 def _e8_form(sign: int) -> Lattice:
-    rows = [[2 * sign if i == j else 0 for j in range(8)] for i in range(8)]
-    for i, j in _E8_EDGES:
-        rows[i][j] = rows[j][i] = -sign
-    return Lattice(tuple(tuple(r) for r in rows))
+    upper = {(i, i): 2 * sign for i in range(8)}
+    upper.update({edge: -sign for edge in _E8_EDGES})
+    return Lattice.from_upper(8, upper)
 
 
-_HYPERBOLIC = Lattice(((0, 1), (1, 0)))
+_HYPERBOLIC = Lattice.from_upper(2, {(0, 1): 1})
 
 
 def k3() -> ManifoldData:
@@ -154,16 +155,16 @@ def surface_product(g: int, gp: int) -> ManifoldData:
     def mix(i: int, j: int) -> int:
         return 2 + i * n2 + j
 
-    rows = [[0] * rank for _ in range(rank)]
-    rows[0][1] = rows[1][0] = 1
+    upper = {(0, 1): 1}
     for i in range(n1):
         k = i ^ 1  # symplectic partner within the first factor
         s1 = 1 if i % 2 == 0 else -1
         for j in range(n2):
             l = j ^ 1
             s2 = 1 if j % 2 == 0 else -1
-            rows[mix(i, j)][mix(k, l)] = -s1 * s2
-    form = Lattice(tuple(tuple(r) for r in rows))
+            if mix(i, j) < mix(k, l):
+                upper[(mix(i, j), mix(k, l))] = -s1 * s2
+    form = Lattice.from_upper(rank, upper)
 
     def basis_vec(idx: int) -> Vector:
         return tuple(1 if t == idx else 0 for t in range(rank))
@@ -191,11 +192,11 @@ def surface_product(g: int, gp: int) -> ManifoldData:
 
 
 def cp2() -> ManifoldData:
-    return ManifoldData(b1=0, h2=Lattice(((1,),)), euler=3, summands=(Summand(CP2),))
+    return ManifoldData(b1=0, h2=diagonal_lattice((1,)), euler=3, summands=(Summand(CP2),))
 
 
 def cp2bar() -> ManifoldData:
-    return ManifoldData(b1=0, h2=Lattice(((-1,),)), euler=3, summands=(Summand(CP2BAR),))
+    return ManifoldData(b1=0, h2=diagonal_lattice((-1,)), euler=3, summands=(Summand(CP2BAR),))
 
 
 def s1xs3() -> ManifoldData:
@@ -250,15 +251,18 @@ def custom(descriptor: Mapping) -> ManifoldData:
         if req not in descriptor:
             raise ValidationError(f"descriptor missing required field '{req}'")
     b1 = descriptor["b1"]
-    if not isinstance(b1, int) or b1 < 0:
+    if isinstance(b1, bool) or not isinstance(b1, int) or b1 < 0:
         raise ValidationError("b1 must be a nonnegative integer")
     form = Lattice.from_rows(descriptor["form"])
     euler = descriptor["euler"]
-    if not isinstance(euler, int):
+    if isinstance(euler, bool) or not isinstance(euler, int):
         raise ValidationError("euler must be an integer")
 
+    cup1 = descriptor.get("cup1")
+    if not isinstance(cup1, (dict, type(None))):
+        raise ValidationError("cup1 must be an object mapping 'i,j' to integer lists")
     cup: dict[tuple[int, int], Vector] = {}
-    for key, value in (descriptor.get("cup1") or {}).items():
+    for key, value in (cup1 or {}).items():
         try:
             i_str, j_str = key.split(",")
             i, j = int(i_str), int(j_str)
@@ -266,13 +270,15 @@ def custom(descriptor: Mapping) -> ManifoldData:
             raise ValidationError(f"cup1 key '{key}' is not of the form 'i,j'") from None
         if not (1 <= i < j <= b1):
             raise ValidationError(f"cup1 key '{key}' out of range: need 1 <= i < j <= b1={b1}")
-        vec = as_vector(value)
+        vec = as_vector(value, f"cup1 class '{key}'")
         if any(vec):
             cup[(i - 1, j - 1)] = vec
 
     c1_raw = descriptor.get("c1")
-    c1 = as_vector(c1_raw) if c1_raw is not None else None
+    c1 = as_vector(c1_raw, "c1") if c1_raw is not None else None
     label = descriptor.get("label")
+    if "label" in descriptor and not isinstance(label, str):
+        raise ValidationError("label must be a string")
     return ManifoldData(
         b1=b1,
         h2=form,

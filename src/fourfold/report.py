@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .bordism import spin_bordism_class
+from .bordism import certify_family
 from .errors import InapplicableError
 from .lattice import determinant, signature
 from .manifolds import ManifoldData
@@ -82,9 +82,11 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str) -> dict:
     }
 
 
-def bordism_summary(m: ManifoldData, s: SpinCStructure) -> dict:
+def bordism_summary(m: ManifoldData, s: SpinCStructure, spinc: dict) -> dict:
+    """The bordism section, reusing the spin condition of the spin^c section."""
+    condition = SpinCondition(spinc["condition"]["index_even"], spinc["condition"]["chern_even"])
     try:
-        klass = spin_bordism_class(m, s)
+        klass = certify_family(m, s, condition).bordism_class()
     except InapplicableError as exc:
         return {"applicable": False, "reason": str(exc)}
     return {

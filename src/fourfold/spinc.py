@@ -91,7 +91,7 @@ class SpinCondition:
 
 def spinc(manifold: ManifoldData, coords) -> SpinCStructure:
     """Validating constructor: c1 must be characteristic for the form."""
-    c1 = as_vector(coords)
+    c1 = as_vector(coords, "c1")
     if len(c1) != manifold.h2.rank:
         raise ValidationError(
             f"c1 has length {len(c1)}, form rank is {manifold.h2.rank}"

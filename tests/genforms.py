@@ -1,6 +1,36 @@
-"""Random matrix generators shared by the lattice and property tests."""
+"""Random matrix generators shared by the lattice and property tests, the
+dense oracles that the block-wise lattice invariants are checked
+against, and descriptors with wrongly typed fields."""
+
+import json
+from fractions import Fraction
+
+import pytest
 
 from fourfold.lattice import Lattice
+
+
+# (field, value): a valid descriptor with one field replaced by a value of
+# the wrong JSON type.  Floats used to be truncated and strings and
+# booleans read as integers.
+WRONG_TYPES = [
+    pytest.param(field, value, id=f"{field}={json.dumps(value)}")
+    for field, value in (
+        ("form", [[1.7]]),
+        ("form", "1"),
+        ("form", [["1"]]),
+        ("form", [[True]]),
+        ("b1", False),
+        ("c1", [1.9]),
+        ("label", 5),
+    )
+]
+
+
+def wrong_type_descriptor(field, value):
+    descriptor = {"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}
+    descriptor[field] = value
+    return descriptor
 
 
 def random_unimodular(n, rng, steps=None):
@@ -71,3 +101,80 @@ def solve_characteristic_mod2(form, rng):
     for r, col in enumerate(pivots):
         c[col] = a[r][n]
     return tuple(c[i] + 2 * rng.randint(-2, 2) for i in range(n))
+
+
+def dense_determinant(rows):
+    """Bareiss elimination over the whole dense matrix."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def dense_inertia(rows):
+    """(positive, negative, zero) by congruent diagonalization of the whole
+    dense matrix over the rationals: pivot on a nonzero diagonal entry,
+    or first make one from a nonzero off-diagonal entry (i, j) by adding
+    basis vector j to basis vector i."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    pos = neg = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
+            )
+            if pair is None:
+                return (pos, neg, n - k)
+            i, j = pair
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            piv = i
+        a[k], a[piv] = a[piv], a[k]
+        for row in a:
+            row[k], row[piv] = row[piv], row[k]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for t in range(k, n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(k, n):
+                    a[t][i] -= f * a[t][k]
+    return (pos, neg, 0)
+
+
+def permuted(rows, perm):
+    """The same form in the basis reordered by ``perm``."""
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def dense_direct_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out

@@ -144,7 +144,7 @@ def _mislabelled_k3_pair():
     # holds, the moduli dimension is -1 instead of 1.
     return ManifoldData(
         b1=0,
-        h2=Lattice(((-1,),)),
+        h2=Lattice.from_rows(((-1,),)),
         euler=3,
         summands=(Summand(K3), Summand(K3)),
         canonical_c1=(1,),
@@ -161,7 +161,7 @@ def test_bordism_rejects_failed_spin_condition():
     # Tagged as K3 # K3 but carrying 8<1> with c1^2 = 16: Dirac index 1.
     m = ManifoldData(
         b1=0,
-        h2=Lattice(tuple(tuple(int(i == j) for j in range(8)) for i in range(8))),
+        h2=Lattice.from_rows(tuple(tuple(int(i == j) for j in range(8)) for i in range(8))),
         euler=10,
         summands=(Summand(K3), Summand(K3)),
         canonical_c1=(3, 1, 1, 1, 1, 1, 1, 1),
@@ -180,7 +180,7 @@ from fourfold.lattice import Lattice
 from fourfold.manifolds import K3, ManifoldData, Summand
 from fourfold.spinc import canonical_spinc
 
-m = ManifoldData(b1=0, h2=Lattice(((-1,),)), euler=3,
+m = ManifoldData(b1=0, h2=Lattice.from_rows(((-1,),)), euler=3,
                  summands=(Summand(K3), Summand(K3)), canonical_c1=(1,))
 print("optimize", sys.flags.optimize)
 try:

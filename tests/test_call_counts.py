@@ -1,5 +1,6 @@
-"""Each request certifies the covered family once, and a scan's cost in
-connected sums and inertia computations does not grow with r_max."""
+"""Each request certifies the covered family once, analyze and sigma0
+build the cup-pairing matrix once, and a scan's cost in connected sums
+and inertia computations does not grow with r_max."""
 
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ COUNTED = (
     ("fourfold.bordism", "certify_family"),
     ("fourfold.manifolds", "connected_sum"),
     ("fourfold.lattice", "inertia"),
+    ("fourfold.spinc", "cup_pairing_matrix"),
 )
 
 
@@ -50,6 +52,22 @@ def test_request_certifies_once(calls, capsys, argv):
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
     assert calls["certify_family"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8*SP(3,3)"],
+        ["analyze", "K3 # SP(3,3)"],
+        ["analyze", "SP(2,2) # K3"],
+        ["sigma0", "K3 # K3 # SP(3,1)"],
+        ["sigma0", "2*SP(3,3)"],
+    ],
+)
+def test_request_builds_one_cup_pairing_matrix(calls, capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert calls["cup_pairing_matrix"] == 1
 
 
 def test_example_scan_work_independent_of_r_max(calls):

@@ -6,6 +6,8 @@ import pytest
 from fourfold.cli import main
 from fourfold.report import REPORT_SCHEMA
 
+from genforms import WRONG_TYPES, wrong_type_descriptor
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -228,3 +230,19 @@ def test_descriptor_file_via_cli(capsys, tmp_path):
     code, report, _ = run_json(capsys, "star", f"@{path}")
     assert code == 0
     assert report["result"]["holds"] is True
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES)
+def test_descriptor_wrongly_typed_field_exits_1(capsys, tmp_path, field, value):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(wrong_type_descriptor(field, value)))
+    code, out, err = run_cli(capsys, "analyze", f"@{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and field in err
+
+
+def test_analyze_large_blowup(capsys):
+    code, report, _ = run_json(capsys, "analyze", "3000*~CP2")
+    assert code == 0
+    m = report["manifold"]
+    assert (m["h2_rank"], m["signature"], m["form_determinant"]) == (3000, -3000, 1)

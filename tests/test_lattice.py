@@ -16,9 +16,14 @@ from fourfold.lattice import (
     signature,
     zero_vector,
 )
-from fourfold.manifolds import k3
+from fourfold.expressions import parse_manifold
+from fourfold.manifolds import custom, descriptor_of, k3, surface_product
 
 from genforms import (
+    dense_determinant,
+    dense_direct_sum,
+    dense_inertia,
+    permuted,
     random_symmetric,
     random_unimodular,
     random_unimodular_symmetric,
@@ -26,7 +31,7 @@ from genforms import (
     transform,
 )
 
-HYPERBOLIC = Lattice(((0, 1), (1, 0)))
+HYPERBOLIC = Lattice.from_rows(((0, 1), (1, 0)))
 
 
 def test_pairing_hyperbolic():
@@ -34,7 +39,7 @@ def test_pairing_hyperbolic():
 
 
 def test_pairing_negative_generator():
-    lat = Lattice(((-1,),))
+    lat = Lattice.from_rows(((-1,),))
     assert pairing(lat, (1,), (1,)) == -1
 
 
@@ -67,11 +72,11 @@ def test_signature_k3():
 
 
 def test_signature_cp2bar_form():
-    assert signature(Lattice(((-1,),))) == -1
+    assert signature(Lattice.from_rows(((-1,),))) == -1
 
 
 def test_signature_rank0():
-    assert signature(Lattice(())) == 0
+    assert signature(Lattice.from_rows(())) == 0
 
 
 def test_inertia_k3():
@@ -80,7 +85,7 @@ def test_inertia_k3():
 
 def test_inertia_degenerate():
     assert inertia(diagonal_lattice([1, 0, -1])) == (1, 1, 1)
-    assert inertia(Lattice(((0, 0), (0, 0)))) == (0, 0, 2)
+    assert inertia(Lattice.from_rows(((0, 0), (0, 0)))) == (0, 0, 2)
 
 
 def test_signature_matches_eigenvalue_oracle():
@@ -111,7 +116,7 @@ def test_signature_congruence_invariance():
 
 
 def test_negative_definite_rank0():
-    assert is_negative_definite(Lattice(()))
+    assert is_negative_definite(Lattice.from_rows(()))
 
 
 def test_negative_definite_diag_minus_ones():
@@ -154,13 +159,13 @@ def test_is_characteristic_k3_zero():
 
 
 def test_is_characteristic_odd_form():
-    lat = Lattice(((-1,),))
+    lat = Lattice.from_rows(((-1,),))
     assert not is_characteristic(lat, (0,))
     assert is_characteristic(lat, (1,))
 
 
 def test_determinant():
-    assert determinant(Lattice(())) == 1
+    assert determinant(Lattice.from_rows(())) == 1
     assert determinant(HYPERBOLIC) == -1
     assert determinant(diagonal_lattice([2, 3])) == 6
     assert determinant(diagonal_lattice([1, 0, -1])) == 0
@@ -186,3 +191,80 @@ def test_from_rows_rejects_asymmetric():
 def test_from_rows_rejects_ragged():
     with pytest.raises(ShapeError):
         Lattice.from_rows([[0, 1], [1]])
+
+
+def _random_block(rng):
+    n = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        return [list(row) for row in random_unimodular_symmetric(n, rng)[0].form]
+    return random_symmetric(n, rng, bound=3)
+
+
+def _assert_matches_dense_oracle(rows):
+    lat = Lattice.from_rows(rows)
+    assert determinant(lat) == dense_determinant(rows)
+    assert inertia(lat) == dense_inertia(rows)
+
+
+def test_blockwise_matches_dense_oracle_on_random_forms():
+    rng = random.Random(31)
+    for _ in range(150):
+        _assert_matches_dense_oracle(random_symmetric(rng.randint(1, 8), rng))
+
+
+def test_blockwise_matches_dense_oracle_on_permuted_direct_sums():
+    # Blocks interleaved by a random basis permutation, so no component
+    # is a contiguous range of indices.
+    rng = random.Random(37)
+    for _ in range(100):
+        blocks = [_random_block(rng) for _ in range(rng.randint(2, 5))]
+        rows = dense_direct_sum(blocks)
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        rows = permuted(rows, perm)
+        _assert_matches_dense_oracle(rows)
+        product = 1
+        for b in blocks:
+            product *= dense_determinant(b)
+        assert determinant(Lattice.from_rows(rows)) == product
+
+
+def test_blockwise_matches_dense_oracle_with_isolated_zero_rows():
+    rng = random.Random(41)
+    for _ in range(100):
+        rows = dense_direct_sum(
+            [_random_block(rng)] + [[[0]] for _ in range(rng.randint(1, 3))]
+        )
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        rows = permuted(rows, perm)
+        _assert_matches_dense_oracle(rows)
+        lat = Lattice.from_rows(rows)
+        assert determinant(lat) == 0
+        assert inertia(lat)[2] >= 1
+
+
+def test_from_rows_round_trip():
+    rng = random.Random(43)
+    lattices = [k3().h2, surface_product(3, 3).h2, Lattice.from_rows(()), HYPERBOLIC]
+    lattices += [Lattice.from_rows(random_symmetric(rng.randint(1, 6), rng)) for _ in range(30)]
+    for lat in lattices:
+        assert Lattice.from_rows(lat.form) == lat
+
+
+def test_descriptor_round_trip_of_mixed_sum():
+    m = parse_manifold("K3 # SP(3,3) # 5*~CP2")
+    again = custom(descriptor_of(m))
+    assert again.h2 == m.h2
+    assert (again.b1, again.euler, again.cup1) == (m.b1, m.euler, m.cup1)
+    assert again.canonical_c1 == m.canonical_c1
+    assert descriptor_of(again) == descriptor_of(m)
+
+
+def test_direct_sum_does_not_pad():
+    a, b = k3().h2, surface_product(1, 1).h2
+    total = direct_sum(a, b)
+    assert total.rows[: a.rank] == a.rows
+    assert sum(len(row) for row in total.rows) == sum(
+        len(row) for row in a.rows + b.rows
+    )

@@ -20,6 +20,8 @@ from fourfold.manifolds import (
 )
 from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
+from genforms import WRONG_TYPES, wrong_type_descriptor
+
 
 def test_k3_profile():
     m = k3()
@@ -190,6 +192,12 @@ def test_custom_rejects_unknown_fields_and_bad_cup_keys():
         custom({"b1": 2, "form": [], "euler": -2, "cup1": {"2,1": []}})
     with pytest.raises(ValidationError, match="cup1"):
         custom({"b1": 2, "form": [], "euler": -2, "cup1": {"x": []}})
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES)
+def test_custom_rejects_wrongly_typed_field(field, value):
+    with pytest.raises(ValidationError, match=field):
+        custom(wrong_type_descriptor(field, value))
 
 
 def test_load_descriptor(tmp_path):
