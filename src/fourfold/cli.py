@@ -112,12 +112,13 @@ def _cmd_genus(args) -> dict:
     )
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = rpt.spinc_summary(m, s, source)
+    condition = rpt.spin_condition_of(report["spinc"])
     if args.genus is not None:
         cand = SurfaceCandidate(
             self_intersection=args.self_int, genus=args.genus, pairing=args.pairing
         )
         report["result"] = {
-            "embedding_obstructed": embedding_obstructed(m, s, cand),
+            "embedding_obstructed": embedding_obstructed(m, s, cand, condition),
             "candidate": {
                 "self_intersection": cand.self_intersection,
                 "genus": cand.genus,
@@ -126,7 +127,7 @@ def _cmd_genus(args) -> dict:
         }
     else:
         report["result"] = {
-            "min_genus": min_genus(m, s, args.self_int, args.pairing),
+            "min_genus": min_genus(m, s, args.self_int, args.pairing, condition),
             "self_intersection": args.self_int,
             "pairing": args.pairing,
         }
@@ -137,12 +138,17 @@ def _cmd_yamabe(args) -> dict:
     m = _manifold(args.expression)
     s, source = _spinc_for(m, args.c1)
     n1 = _manifold(args.n1)
-    value = yamabe_value(m, s, n1, args.nonneg_scalar)
+    # Uncovered pairs are refused before the spin^c section checks their data.
+    covered_summands(m, s)
+    spinc_section = rpt.spinc_summary(m, s, source)
+    value = yamabe_value(
+        m, s, n1, args.nonneg_scalar, rpt.spin_condition_of(spinc_section)
+    )
     report = rpt.base_report(
         "yamabe", _echo(args, n1=args.n1, nonneg_scalar=args.nonneg_scalar)
     )
     report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source)
+    report["spinc"] = spinc_section
     report["result"] = {
         "coefficient": value.coefficient,
         "radicand": value.radicand,
@@ -157,10 +163,13 @@ def _cmd_einstein(args) -> dict:
     m = _manifold(args.expression)
     s, source = _spinc_for(m, args.c1)
     n2 = _manifold(args.n2)
-    verdict = einstein_nonexistence(m, s, n2)
+    # Uncovered pairs are refused before the spin^c section checks their data.
+    covered_summands(m, s)
+    spinc_section = rpt.spinc_summary(m, s, source)
+    verdict = einstein_nonexistence(m, s, n2, rpt.spin_condition_of(spinc_section))
     report = rpt.base_report("einstein", _echo(args, n2=args.n2))
     report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source)
+    report["spinc"] = spinc_section
     report["result"] = {
         "einstein_obstructed": verdict,
         "n2": rpt.manifold_summary(n2),
@@ -243,10 +252,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built on first use, once per process
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         report = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

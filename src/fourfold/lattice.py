@@ -15,6 +15,9 @@ from typing import Iterator, Mapping, Sequence
 from .errors import ShapeError, ValidationError
 
 Vector = tuple[int, ...]
+# The nonzero (index, value) entries of a vector by increasing index, the
+# way each row of ``Lattice.rows`` is stored.
+SparseVector = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class Lattice:
     which checks types, squareness and symmetry.
     """
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[SparseVector, ...]
 
     @property
     def rank(self) -> int:
@@ -37,7 +40,7 @@ class Lattice:
     @property
     def form(self) -> tuple[tuple[int, ...], ...]:
         """The dense Gram matrix, O(rank^2): for export only."""
-        return tuple(tuple(dict(row).get(j, 0) for j in range(self.rank)) for row in self.rows)
+        return tuple(dense(row, self.rank) for row in self.rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Lattice":
@@ -58,7 +61,7 @@ class Lattice:
                         f"form is not symmetric at ({i},{j}): "
                         f"{rows[i][j]} != {rows[j][i]}"
                     )
-        return cls(tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
+        return cls(tuple(sparse(row) for row in rows))
 
     @classmethod
     def from_upper(cls, rank: int, upper: Mapping[tuple[int, int], int]) -> "Lattice":
@@ -86,6 +89,17 @@ def zero_vector(lat: Lattice) -> Vector:
     return (0,) * lat.rank
 
 
+def sparse(v: Sequence[int]) -> SparseVector:
+    return tuple((i, x) for i, x in enumerate(v) if x)
+
+
+def dense(v: SparseVector, rank: int) -> Vector:
+    out = [0] * rank
+    for i, x in v:
+        out[i] = x
+    return tuple(out)
+
+
 def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     return Lattice.from_upper(len(entries), {(i, i): int(x) for i, x in enumerate(entries)})
 
@@ -106,6 +120,12 @@ def pairing(lat: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
     _check_length(lat, x, "x")
     _check_length(lat, y, "y")
     return sum(xi * sum(q * y[j] for j, q in lat.rows[i]) for i, xi in enumerate(x) if xi)
+
+
+def apply_form(lat: Lattice, x: Sequence[int]) -> list[int]:
+    """Q x as a dense list, in O(nnz)."""
+    _check_length(lat, x, "x")
+    return [sum(q * x[j] for j, q in row) for row in lat.rows]
 
 
 def _blocks(lat: Lattice) -> Iterator[list[list[int]]]:

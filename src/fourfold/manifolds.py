@@ -18,7 +18,16 @@ from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .lattice import (
-    Lattice, Vector, as_vector, diagonal_lattice, direct_sum, is_characteristic, zero_vector
+    Lattice,
+    SparseVector,
+    Vector,
+    as_vector,
+    dense,
+    diagonal_lattice,
+    direct_sum,
+    is_characteristic,
+    sparse,
+    zero_vector,
 )
 
 K3 = "K3"
@@ -52,14 +61,14 @@ class ManifoldData:
     """Algebraic-topological profile of a closed oriented 4-manifold.
 
     ``cup1`` maps index pairs (i, j) with 0 <= i < j < b1 to the class
-    alpha_i cup alpha_j in the H^2 basis; pairs with zero cup product are
-    omitted.  The full antisymmetric tensor is recovered via
-    :func:`cup_class`.
+    alpha_i cup alpha_j in the H^2 basis, stored sparsely like a row of
+    the form; pairs with zero cup product are omitted.  The full
+    antisymmetric tensor is recovered, densely, via :func:`cup_class`.
     """
 
     b1: int
     h2: Lattice
-    cup1: dict[tuple[int, int], Vector] = field(default_factory=dict)
+    cup1: dict[tuple[int, int], SparseVector] = field(default_factory=dict)
     euler: int = 0
     summands: tuple[Summand, ...] = ()
     canonical_c1: Vector | None = None
@@ -68,20 +77,25 @@ class ManifoldData:
         _check_invariants(self)
 
 
-def _check_invariants(m: ManifoldData) -> None:
-    if m.b1 < 0:
+def _check_euler(b1: int, rank: int, euler: int) -> None:
+    if b1 < 0:
         raise ValidationError("b1 must be nonnegative")
-    rank = m.h2.rank
-    if m.euler != 2 - 2 * m.b1 + rank:
+    if euler != 2 - 2 * b1 + rank:
         raise ValidationError(
-            f"euler number {m.euler} violates chi = 2 - 2*b1 + rank(H2) "
-            f"= {2 - 2 * m.b1 + rank}"
+            f"euler number {euler} violates chi = 2 - 2*b1 + rank(H2) = {2 - 2 * b1 + rank}"
         )
+
+
+def _check_invariants(m: ManifoldData) -> None:
+    rank = m.h2.rank
+    _check_euler(m.b1, rank, m.euler)
     for (i, j), v in m.cup1.items():
         if not (0 <= i < j < m.b1):
             raise ValidationError(f"cup1 index pair ({i},{j}) out of range for b1={m.b1}")
-        if len(v) != rank:
-            raise ValidationError(f"cup1 class at ({i},{j}) has length {len(v)}, expected {rank}")
+        if not all(0 <= k < rank for k, _ in v):
+            raise ValidationError(
+                f"cup1 class at ({i},{j}) has an index out of range for rank {rank}"
+            )
     if m.canonical_c1 is not None:
         if len(m.canonical_c1) != rank:
             raise ValidationError(
@@ -93,13 +107,9 @@ def _check_invariants(m: ManifoldData) -> None:
 
 def cup_class(m: ManifoldData, i: int, j: int) -> Vector:
     """alpha_i cup alpha_j as an H^2 vector, for any i, j below b1."""
-    if i == j:
-        return zero_vector(m.h2)
     if i < j:
-        v = m.cup1.get((i, j))
-        return v if v is not None else zero_vector(m.h2)
-    v = m.cup1.get((j, i))
-    return tuple(-x for x in v) if v is not None else zero_vector(m.h2)
+        return dense(m.cup1.get((i, j), ()), m.h2.rank)
+    return tuple(-x for x in dense(m.cup1.get((j, i), ()), m.h2.rank))
 
 
 # E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes).
@@ -166,17 +176,14 @@ def surface_product(g: int, gp: int) -> ManifoldData:
                 upper[(mix(i, j), mix(k, l))] = -s1 * s2
     form = Lattice.from_upper(rank, upper)
 
-    def basis_vec(idx: int) -> Vector:
-        return tuple(1 if t == idx else 0 for t in range(rank))
-
-    cup: dict[tuple[int, int], Vector] = {}
+    cup: dict[tuple[int, int], SparseVector] = {}
     for t in range(g):
-        cup[(2 * t, 2 * t + 1)] = basis_vec(0)
+        cup[(2 * t, 2 * t + 1)] = ((0, 1),)
     for t in range(gp):
-        cup[(n1 + 2 * t, n1 + 2 * t + 1)] = basis_vec(1)
+        cup[(n1 + 2 * t, n1 + 2 * t + 1)] = ((1, 1),)
     for i in range(n1):
         for j in range(n2):
-            cup[(i, n1 + j)] = basis_vec(mix(i, j))
+            cup[(i, n1 + j)] = ((mix(i, j), 1),)
 
     c1 = [0] * rank
     c1[0] = 2 * (1 - g)
@@ -208,14 +215,15 @@ def s4() -> ManifoldData:
 
 
 def connected_sum(a: ManifoldData, b: ManifoldData) -> ManifoldData:
-    """Connected sum: forms add orthogonally, cross cup products vanish."""
+    """Connected sum: forms add orthogonally, cross cup products vanish.
+
+    a's cup classes are reused as they are; b's are shifted past a's
+    indices, so nothing is padded."""
     h2 = direct_sum(a.h2, b.h2)
-    ra, rb = a.h2.rank, b.h2.rank
-    pad_a = (0,) * rb
-    pad_b = (0,) * ra
-    cup: dict[tuple[int, int], Vector] = {k: v + pad_a for k, v in a.cup1.items()}
+    ra = a.h2.rank
+    cup = dict(a.cup1)
     for (i, j), v in b.cup1.items():
-        cup[(i + a.b1, j + a.b1)] = pad_b + v
+        cup[(i + a.b1, j + a.b1)] = tuple((k + ra, x) for k, x in v)
     c1 = None
     if a.canonical_c1 is not None and b.canonical_c1 is not None:
         c1 = a.canonical_c1 + b.canonical_c1
@@ -261,7 +269,7 @@ def custom(descriptor: Mapping) -> ManifoldData:
     cup1 = descriptor.get("cup1")
     if not isinstance(cup1, (dict, type(None))):
         raise ValidationError("cup1 must be an object mapping 'i,j' to integer lists")
-    cup: dict[tuple[int, int], Vector] = {}
+    dense_cup: dict[tuple[int, int], Vector] = {}
     for key, value in (cup1 or {}).items():
         try:
             i_str, j_str = key.split(",")
@@ -272,13 +280,22 @@ def custom(descriptor: Mapping) -> ManifoldData:
             raise ValidationError(f"cup1 key '{key}' out of range: need 1 <= i < j <= b1={b1}")
         vec = as_vector(value, f"cup1 class '{key}'")
         if any(vec):
-            cup[(i - 1, j - 1)] = vec
+            dense_cup[(i - 1, j - 1)] = vec
 
     c1_raw = descriptor.get("c1")
     c1 = as_vector(c1_raw, "c1") if c1_raw is not None else None
     label = descriptor.get("label")
     if "label" in descriptor and not isinstance(label, str):
         raise ValidationError("label must be a string")
+    # The Euler number is checked before the cup lengths, as ManifoldData does.
+    _check_euler(b1, form.rank, euler)
+    cup: dict[tuple[int, int], SparseVector] = {}
+    for (i, j), vec in dense_cup.items():
+        if len(vec) != form.rank:
+            raise ValidationError(
+                f"cup1 class at ({i},{j}) has length {len(vec)}, expected {form.rank}"
+            )
+        cup[(i, j)] = sparse(vec)
     return ManifoldData(
         b1=b1,
         h2=form,
@@ -307,7 +324,9 @@ def descriptor_of(m: ManifoldData, label: str = "export") -> dict:
     return {
         "b1": m.b1,
         "form": [list(row) for row in m.h2.form],
-        "cup1": {f"{i + 1},{j + 1}": list(v) for (i, j), v in sorted(m.cup1.items())},
+        "cup1": {
+            f"{i + 1},{j + 1}": list(dense(v, m.h2.rank)) for (i, j), v in sorted(m.cup1.items())
+        },
         "euler": m.euler,
         "c1": list(m.canonical_c1) if m.canonical_c1 is not None else None,
         "label": label,

@@ -8,7 +8,7 @@ same dict, so the two never disagree.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .bordism import certify_family
 from .errors import InapplicableError
@@ -82,11 +82,15 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str) -> dict:
     }
 
 
+def spin_condition_of(spinc: dict) -> SpinCondition:
+    """The spin condition recorded in a spin^c section."""
+    return SpinCondition(spinc["condition"]["index_even"], spinc["condition"]["chern_even"])
+
+
 def bordism_summary(m: ManifoldData, s: SpinCStructure, spinc: dict) -> dict:
     """The bordism section, reusing the spin condition of the spin^c section."""
-    condition = SpinCondition(spinc["condition"]["index_even"], spinc["condition"]["chern_even"])
     try:
-        klass = certify_family(m, s, condition).bordism_class()
+        klass = certify_family(m, s, spin_condition_of(spinc)).bordism_class()
     except InapplicableError as exc:
         return {"applicable": False, "reason": str(exc)}
     return {
@@ -178,7 +182,60 @@ REPORT_SCHEMA = {
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False)
+    """The text of ``json.dumps(report, indent=2)``, written directly:
+    with an indent, ``json`` falls back to its pure-Python encoder.
+    Dictionary keys must be strings (a TypeError otherwise)."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out)
+
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``; ``newline`` is a line break plus
+    the indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_FLOAT_SPECIALS.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        out.append("[" + inner)
+        for k, item in enumerate(value):
+            if k:
+                out.append("," + inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            out.append(f"{head}{encode_basestring_ascii(key)}: ")
+            _write_json(item, inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _yesno(flag: bool) -> str:

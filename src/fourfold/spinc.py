@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntegralityError, ValidationError
-from .lattice import Vector, as_vector, is_characteristic, pairing, signature
+from .lattice import Vector, apply_form, as_vector, is_characteristic, pairing, signature
 from .manifolds import ManifoldData
 
 
@@ -122,11 +122,15 @@ def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
 
 
 def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> tuple[tuple[int, ...], ...]:
-    """Matrix of pairings <c1 alpha_i alpha_j, [M]> over the H^1 generators."""
+    """Matrix of pairings <c1 alpha_i alpha_j, [M]> over the H^1 generators.
+
+    Q c1 is formed once, in O(nnz); each entry is then a dot product with
+    a sparse cup class."""
+    q_c1 = apply_form(manifold.h2, s.c1)
     b1 = manifold.b1
     t = [[0] * b1 for _ in range(b1)]
     for (i, j), v in manifold.cup1.items():
-        p = pairing(manifold.h2, s.c1, v)
+        p = sum(q_c1[k] * x for k, x in v)
         t[i][j] = p
         t[j][i] = -p
     return tuple(tuple(row) for row in t)

@@ -178,3 +178,25 @@ def dense_direct_sum(blocks):
             out[off + i][off:off + len(b)] = row
         off += len(b)
     return out
+
+
+def random_descriptor(rng, max_rank=6, max_b1=5):
+    """A valid descriptor on a random unimodular form whose cup classes are
+    random integer vectors: some zero, most not basis vectors."""
+    n = rng.randint(1, max_rank)
+    lat, _ = random_unimodular_symmetric(n, rng)
+    b1 = rng.randint(2, max_b1)
+    cup1 = {
+        f"{i},{j}": [rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)]
+        for i in range(1, b1 + 1)
+        for j in range(i + 1, b1 + 1)
+        if rng.random() < 0.6
+    }
+    return {
+        "b1": b1,
+        "form": [list(row) for row in lat.form],
+        "cup1": cup1,
+        "euler": 2 - 2 * b1 + n,
+        "c1": list(solve_characteristic_mod2(lat.form, rng)),
+        "label": "random",
+    }

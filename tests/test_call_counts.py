@@ -1,5 +1,5 @@
-"""Each request certifies the covered family once, analyze and sigma0
-build the cup-pairing matrix once, and a scan's cost in connected sums
+"""Each request certifies the covered family once and builds the
+cup-pairing matrix at most once, and a scan's cost in connected sums
 and inertia computations does not grow with r_max."""
 
 import sys
@@ -62,6 +62,10 @@ def test_request_certifies_once(calls, capsys, argv):
         ["analyze", "SP(2,2) # K3"],
         ["sigma0", "K3 # K3 # SP(3,1)"],
         ["sigma0", "2*SP(3,3)"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
+        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
+        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
     ],
 )
 def test_request_builds_one_cup_pairing_matrix(calls, capsys, argv):

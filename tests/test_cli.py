@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import fourfold
 from fourfold.cli import main
 from fourfold.report import REPORT_SCHEMA
 
@@ -246,3 +250,50 @@ def test_analyze_large_blowup(capsys):
     assert code == 0
     m = report["manifold"]
     assert (m["h2_rank"], m["signature"], m["form_determinant"]) == (3000, -3000, 1)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    original = fourfold.cli.build_parser
+    monkeypatch.setattr(fourfold.cli, "_parser", None)
+    monkeypatch.setattr(fourfold.cli, "build_parser", lambda: built.append(1) or original())
+    assert run_cli(capsys, "star", "K3")[0] == 0
+    assert run_cli(capsys, "star", "K3", "--json")[0] == 0
+    assert len(built) == 1
+
+
+# Pairs where the second request would show state that the first left in
+# a reused parser: an option given then omitted, an exit through
+# SystemExit, and a flag error raised in the middle of parsing.
+PARSER_REUSE_SEQUENCE = [
+    ["analyze", "~CP2", "--c1", "-1", "--json"],
+    ["analyze", "~CP2", "--json"],
+    ["genus", "K3 # K3", "--self-int", "2", "--genus", "3"],
+    ["genus", "K3 # K3", "--self-int", "2"],
+    ["--help"],
+    ["star", "SP(3,3)"],
+    ["genus", "K3 # K3", "--self-int", "2", "--pairing", "x"],
+    ["sigma0", "K3 # K3 # SP(3,1)", "--json"],
+]
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = os.path.dirname(os.path.dirname(fourfold.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    fresh = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fourfold.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 1, 0]
+    assert in_process == fresh

@@ -146,6 +146,28 @@ def test_connected_sum_associative_commutative_on_invariants():
         )
 
 
+def test_connected_sum_does_not_pad_cups():
+    a, b = surface_product(3, 1), connected_sum(k3(), surface_product(1, 3))
+    total = connected_sum(a, b)
+
+    def cup_nnz(m):
+        return sum(len(v) for v in m.cup1.values())
+
+    assert cup_nnz(total) == cup_nnz(a) + cup_nnz(b)
+    assert all(total.cup1[key] is v for key, v in a.cup1.items())
+
+
+def test_surface_product_cup_classes_are_single_entries():
+    m = surface_product(3, 5)
+    assert len(m.cup1) == 4 * 3 * 5 + 3 + 5
+    assert all(len(v) == 1 for v in m.cup1.values())
+
+
+def test_manifold_data_rejects_cup_index_out_of_range():
+    with pytest.raises(ValidationError, match="out of range for rank 1"):
+        ManifoldData(b1=2, h2=cp2().h2, cup1={(0, 1): ((1, 2),)}, euler=-1)
+
+
 def test_manifold_data_euler_invariant_enforced():
     with pytest.raises(ValidationError):
         ManifoldData(b1=0, h2=k3().h2, euler=23)
@@ -178,6 +200,15 @@ def test_custom_rejects_asymmetric_form():
 def test_custom_rejects_euler_mismatch():
     with pytest.raises(ValidationError, match="euler"):
         custom({"b1": 0, "form": [[1]], "euler": 5})
+
+
+def test_custom_rejects_cup_class_of_wrong_length():
+    descriptor = {"b1": 2, "form": [[1]], "euler": -1, "cup1": {"1,2": [2, 2]}}
+    with pytest.raises(ValidationError, match=r"cup1 class at \(0,1\) has length 2, expected 1"):
+        custom(descriptor)
+    # The Euler number is checked first, as before cup classes were sparse.
+    with pytest.raises(ValidationError, match="euler number 4"):
+        custom({**descriptor, "euler": 4})
 
 
 def test_custom_rejects_non_characteristic_c1():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from fourfold.errors import IntegralityError, ValidationError
-from fourfold.manifolds import connected_sum, cp2bar, custom, k3, surface_product
+from fourfold.lattice import pairing
+from fourfold.manifolds import connected_sum, cp2bar, cup_class, custom, k3, surface_product
 from fourfold.report import spinc_summary
 from fourfold.spinc import (
     canonical_spinc,
@@ -14,6 +15,8 @@ from fourfold.spinc import (
     spin_condition,
     spinc,
 )
+
+from genforms import random_descriptor
 
 GENERATOR_POOL = [
     k3,
@@ -98,6 +101,22 @@ def test_cup_pairing_matrix_block_diagonal_on_sums():
         assert t[i][: a.b1] == ta[i]
     for i in range(b.b1):
         assert t[a.b1 + i][a.b1 :] == tb[i]
+
+
+def test_cup_pairing_matrix_matches_dense_oracle():
+    rng = random.Random(47)
+    for k in range(40):
+        m = custom(random_descriptor(rng))
+        if k % 3 == 1:
+            m = connected_sum(surface_product(1, 3), m)
+        elif k % 3 == 2:
+            m = connected_sum(m, custom(random_descriptor(rng)))
+        s = canonical_spinc(m)
+        oracle = tuple(
+            tuple(pairing(m.h2, s.c1, cup_class(m, i, j)) for j in range(m.b1))
+            for i in range(m.b1)
+        )
+        assert cup_pairing_matrix(m, s) == oracle
 
 
 def test_index_chern_form_halves_pairings():
