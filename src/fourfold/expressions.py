@@ -16,7 +16,6 @@ association.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ParseError, ValidationError
 from .manifolds import (
@@ -192,14 +191,14 @@ def build_generator(token: GenToken) -> ManifoldData:
 
 
 def resolve(expr: ManifoldExpression) -> ManifoldData:
-    """Expand multiplicities and fold the connected sum, left-associated."""
+    """Expand multiplicities and take the connected sum of all the pieces
+    in one call, left to right."""
     pieces = []
     for term in expr.terms:
-        built = build_generator(term.gen)
-        pieces.extend([built] * term.count)
+        pieces.extend([build_generator(term.gen)] * term.count)
     if not pieces:
         raise ValidationError("empty manifold expression")
-    return reduce(connected_sum, pieces)
+    return connected_sum(*pieces)
 
 
 def parse_manifold(expr: str) -> ManifoldData:

@@ -7,10 +7,11 @@ diagonalization.  No floating point touches any verdict path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from math import prod
+from typing import Mapping, Sequence
 
 from .errors import ShapeError, ValidationError
 
@@ -18,6 +19,7 @@ Vector = tuple[int, ...]
 # The nonzero (index, value) entries of a vector by increasing index, the
 # way each row of ``Lattice.rows`` is stored.
 SparseVector = tuple[tuple[int, int], ...]
+Block = tuple[SparseVector, ...]
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,18 @@ class Lattice:
     cost O(nnz).  Internal constructors build structurally symmetric forms;
     data from outside the package must come in through :meth:`from_rows`,
     which checks types, squareness and symmetry.
+
+    ``blocks`` holds the rows of each connected component, renumbered from
+    0 within it: found once by union-find, concatenated by
+    :func:`direct_sum`, and left out of equality and hashing.
     """
 
     rows: tuple[SparseVector, ...]
+    blocks: tuple[Block, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", _components(self.rows))
 
     @property
     def rank(self) -> int:
@@ -104,9 +115,14 @@ def diagonal_lattice(entries: Sequence[int]) -> Lattice:
     return Lattice.from_upper(len(entries), {(i, i): int(x) for i, x in enumerate(entries)})
 
 
-def direct_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Orthogonal direct sum: b's rows follow a's, shifted by a's rank."""
-    return Lattice(a.rows + tuple(tuple((j + a.rank, x) for j, x in row) for row in b.rows))
+def direct_sum(*lattices: Lattice) -> Lattice:
+    """Orthogonal direct sum: each lattice's rows follow the previous ones',
+    shifted by their ranks; the blocks are concatenated, not recomputed."""
+    rows: list[SparseVector] = []
+    for lat in lattices:
+        off = len(rows)
+        rows.extend(tuple((j + off, x) for j, x in row) for row in lat.rows)
+    return Lattice(tuple(rows), tuple(b for lat in lattices for b in lat.blocks))
 
 
 def _check_length(lat: Lattice, v: Sequence[int], name: str) -> None:
@@ -128,11 +144,11 @@ def apply_form(lat: Lattice, x: Sequence[int]) -> list[int]:
     return [sum(q * x[j] for j, q in row) for row in lat.rows]
 
 
-def _blocks(lat: Lattice) -> Iterator[list[list[int]]]:
-    """The dense Gram matrix of each connected component of the graph of
-    nonzero entries, found by union-find in O(nnz); a zero row is a 1x1
-    zero block."""
-    root = list(range(lat.rank))
+def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
+    """The rows of each connected component of the graph of nonzero
+    entries, renumbered from 0, found by union-find in O(nnz); a zero row
+    is a 1x1 zero block."""
+    root = list(range(len(rows)))
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -140,78 +156,95 @@ def _blocks(lat: Lattice) -> Iterator[list[list[int]]]:
             i = root[i]
         return i
 
-    for i, row in enumerate(lat.rows):
+    for i, row in enumerate(rows):
         for j, _ in row:
             root[find(j)] = find(i)
     members: dict[int, list[int]] = {}
-    for i in range(lat.rank):
+    for i in range(len(rows)):
         members.setdefault(find(i), []).append(i)
+    blocks = []
     for component in members.values():
         local = {i: t for t, i in enumerate(component)}
-        block = [[0] * len(component) for _ in component]
-        for out, i in zip(block, component):
-            for j, x in lat.rows[i]:
-                out[local[j]] = x
-        yield block
+        blocks.append(tuple(tuple((local[j], x) for j, x in rows[i]) for i in component))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=256)
+def _block_invariants(block: Block) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, determinant) of one connected block:
+    congruent diagonalization with exact ``Fraction`` pivots, where once
+    the remaining diagonal is zero an off-diagonal (i,j) is promoted by
+    adding row/column j to row/column i, then Bareiss elimination.
+    Memoized: generator blocks (E8, H, the pairs of a surface product,
+    +-1) recur in every sum built from them."""
+    n = len(block)
+    a = [list(dense(row, n)) for row in block]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is None:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+                )
+                if pair is None:
+                    zero += n - k
+                    break
+                i, j = pair
+                # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
+                for t in range(k, n):
+                    a[i][t] += a[j][t]
+                for t in range(k, n):
+                    a[t][i] += a[t][j]
+                j = i
+            if j != k:
+                a[k], a[j] = a[j], a[k]
+                for t in range(k, n):
+                    a[t][k], a[t][j] = a[t][j], a[t][k]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        col = [(i, a[i][k]) for i in range(k + 1, n) if a[i][k]]
+        for i, ci in col:
+            fi = Fraction(ci) / Fraction(p)
+            row_i = a[i]
+            for j, cj in col:
+                if j >= i:
+                    v = a[i][j] - fi * cj
+                    row_i[j] = v
+                    if j != i:
+                        a[j][i] = v
+            row_i[k] = 0
+            a[k][i] = 0
+    a = [list(dense(row, n)) for row in block]
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return (pos, neg, zero, 0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return (pos, neg, zero, sign * a[n - 1][n - 1])
 
 
 @lru_cache(maxsize=64)
 def inertia(lat: Lattice) -> tuple[int, int, int]:
-    """Return (positive, negative, zero) inertia indices of the form.
-
-    Congruent diagonalization over the rationals of each connected
-    component, whose indices add: symmetric pivoting with exact
-    ``Fraction`` arithmetic.  When the remaining diagonal is all zero, a
-    nonzero off-diagonal entry (i,j) is promoted to the diagonal by adding
-    row/column j to row/column i, which makes the (i,i) entry 2*a[i][j];
-    an all-zero remaining block contributes only zeros.  Sylvester's law
-    makes the sign counts basis independent.
+    """Return (positive, negative, zero) inertia indices of the form: the
+    sums over its blocks, by Sylvester's law, which also makes the sign
+    counts basis independent.
 
     Cached: connected-sum pipelines evaluate several invariants of the
     same lattice in a row.  A hit hashes the sparse rows, O(nnz).
     """
-    pos = neg = zero = 0
-    for a in _blocks(lat):
-        n = len(a)
-        for k in range(n):
-            if a[k][k] == 0:
-                j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-                if j is None:
-                    pair = next(
-                        ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
-                    )
-                    if pair is None:
-                        zero += n - k
-                        break
-                    i, j = pair
-                    # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
-                    for t in range(k, n):
-                        a[i][t] += a[j][t]
-                    for t in range(k, n):
-                        a[t][i] += a[t][j]
-                    j = i
-                if j != k:
-                    a[k], a[j] = a[j], a[k]
-                    for t in range(k, n):
-                        a[t][k], a[t][j] = a[t][j], a[t][k]
-            p = a[k][k]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            col = [(i, a[i][k]) for i in range(k + 1, n) if a[i][k]]
-            for i, ci in col:
-                fi = Fraction(ci) / Fraction(p)
-                row_i = a[i]
-                for j, cj in col:
-                    if j >= i:
-                        v = a[i][j] - fi * cj
-                        row_i[j] = v
-                        if j != i:
-                            a[j][i] = v
-                row_i[k] = 0
-                a[k][i] = 0
-    return (pos, neg, zero)
+    per_block = [_block_invariants(b) for b in lat.blocks]
+    return tuple(sum(inv[t] for inv in per_block) for t in range(3))
 
 
 def signature(lat: Lattice) -> int:
@@ -240,23 +273,5 @@ def is_characteristic(lat: Lattice, c: Sequence[int]) -> bool:
 
 
 def determinant(lat: Lattice) -> int:
-    """Exact determinant of the Gram matrix: the product over connected
-    components of Bareiss elimination on each."""
-    det = 1
-    for a in _blocks(lat):
-        n = len(a)
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        det *= sign * a[n - 1][n - 1]
-    return det
+    """Exact determinant of the Gram matrix: the product over its blocks."""
+    return prod(_block_invariants(b)[3] for b in lat.blocks)

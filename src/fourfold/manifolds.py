@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -122,15 +123,13 @@ def _e8_form(sign: int) -> Lattice:
     return Lattice.from_upper(8, upper)
 
 
-_HYPERBOLIC = Lattice.from_upper(2, {(0, 1): 1})
-
-
+# Generators are built on first call and shared: no code mutates a
+# ManifoldData, and their blocks are what the lattice block memo hits.
+@cache
 def k3() -> ManifoldData:
     """The K3 surface: b1 = 0, chi = 24, form 2E8(-1) + 3H, tau = -16."""
-    form = _e8_form(-1)
-    form = direct_sum(form, _e8_form(-1))
-    for _ in range(3):
-        form = direct_sum(form, _HYPERBOLIC)
+    e8, h = _e8_form(-1), Lattice.from_upper(2, {(0, 1): 1})
+    form = direct_sum(e8, e8, h, h, h)
     return ManifoldData(
         b1=0,
         h2=form,
@@ -140,6 +139,7 @@ def k3() -> ManifoldData:
     )
 
 
+@lru_cache(maxsize=32)
 def surface_product(g: int, gp: int) -> ManifoldData:
     """Product of two closed oriented surfaces of genus g and gp.
 
@@ -198,41 +198,48 @@ def surface_product(g: int, gp: int) -> ManifoldData:
     )
 
 
+@cache
 def cp2() -> ManifoldData:
     return ManifoldData(b1=0, h2=diagonal_lattice((1,)), euler=3, summands=(Summand(CP2),))
 
 
+@cache
 def cp2bar() -> ManifoldData:
     return ManifoldData(b1=0, h2=diagonal_lattice((-1,)), euler=3, summands=(Summand(CP2BAR),))
 
 
+@cache
 def s1xs3() -> ManifoldData:
     return ManifoldData(b1=1, h2=Lattice(()), euler=0, summands=(Summand(S1XS3),))
 
 
+@cache
 def s4() -> ManifoldData:
     return ManifoldData(b1=0, h2=Lattice(()), euler=2, summands=(Summand(S4),))
 
 
-def connected_sum(a: ManifoldData, b: ManifoldData) -> ManifoldData:
-    """Connected sum: forms add orthogonally, cross cup products vanish.
+def connected_sum(*pieces: ManifoldData) -> ManifoldData:
+    """Connected sum of the pieces in order: forms add orthogonally, cross
+    cup products vanish, and chi = sum of chi_i - 2(k-1) over k pieces.
 
-    a's cup classes are reused as they are; b's are shifted past a's
-    indices, so nothing is padded."""
-    h2 = direct_sum(a.h2, b.h2)
-    ra = a.h2.rank
-    cup = dict(a.cup1)
-    for (i, j), v in b.cup1.items():
-        cup[(i + a.b1, j + a.b1)] = tuple((k + ra, x) for k, x in v)
+    Each piece's cup classes are shifted past the indices of the pieces
+    before it, and the first piece's are reused as they are, so nothing is
+    padded.  The sum is validated once, not once per piece."""
+    cup: dict[tuple[int, int], SparseVector] = {}
+    b1 = rank = 0
+    for m in pieces:
+        for (i, j), v in m.cup1.items():
+            cup[(i + b1, j + b1)] = tuple((k + rank, x) for k, x in v) if rank else v
+        b1, rank = b1 + m.b1, rank + m.h2.rank
     c1 = None
-    if a.canonical_c1 is not None and b.canonical_c1 is not None:
-        c1 = a.canonical_c1 + b.canonical_c1
+    if all(m.canonical_c1 is not None for m in pieces):
+        c1 = tuple(x for m in pieces for x in m.canonical_c1)
     return ManifoldData(
-        b1=a.b1 + b.b1,
-        h2=h2,
+        b1=b1,
+        h2=direct_sum(*(m.h2 for m in pieces)),
         cup1=cup,
-        euler=a.euler + b.euler - 2,
-        summands=a.summands + b.summands,
+        euler=sum(m.euler for m in pieces) - 2 * (len(pieces) - 1),
+        summands=tuple(s for m in pieces for s in m.summands),
         canonical_c1=c1,
     )
 

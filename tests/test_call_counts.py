@@ -1,6 +1,7 @@
 """Each request certifies the covered family once and builds the
-cup-pairing matrix at most once, and a scan's cost in connected sums
-and inertia computations does not grow with r_max."""
+cup-pairing matrix at most once, a scan's cost in connected sums and
+inertia computations does not grow with r_max, resolving k*X takes one
+connected sum, and each distinct block and generator is built once."""
 
 import sys
 from collections import Counter
@@ -9,6 +10,8 @@ import pytest
 
 import fourfold
 from fourfold.cli import main
+from fourfold.expressions import parse_manifold
+from fourfold.manifolds import ManifoldData, custom, k3, surface_product
 from fourfold.obstructions import example_scan
 
 COUNTED = (
@@ -82,3 +85,39 @@ def test_example_scan_work_independent_of_r_max(calls):
         per_r_max[r_max] = dict(calls)
     assert per_r_max[10]["certify_family"] == 1
     assert per_r_max[10] == per_r_max[100]
+
+
+def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):
+    validations = Counter()
+    post_init = ManifoldData.__post_init__
+
+    def counting(self):
+        validations["ManifoldData"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ManifoldData, "__post_init__", counting)
+    per_k = {}
+    for k in (10, 40):
+        surface_product.cache_clear()
+        calls.clear()
+        validations.clear()
+        parse_manifold(f"{k}*SP(3,3)")
+        per_k[k] = (calls["connected_sum"], validations["ManifoldData"])
+    # One connected sum, validated once, plus the one SP(3,3) it is built from.
+    assert per_k[10] == per_k[40] == (1, 2)
+
+
+def test_analyze_k3_sum_eliminates_two_distinct_blocks(capsys):
+    block_invariants = fourfold.lattice._block_invariants
+    block_invariants.cache_clear()
+    assert main(["analyze", "20*K3", "--json"]) == 0
+    capsys.readouterr()
+    # E8(-1) and the hyperbolic plane H; every other block is a hit.
+    assert block_invariants.cache_info().misses == 2
+
+
+def test_generators_are_built_once_and_descriptors_never_cached():
+    assert surface_product(3, 3) is surface_product(3, 3)
+    assert k3() is k3()
+    descriptor = {"b1": 0, "form": [[-1]], "euler": 3, "c1": [1]}
+    assert custom(descriptor) is not custom(descriptor)

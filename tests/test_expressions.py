@@ -1,9 +1,22 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fourfold.errors import ParseError, ValidationError
 from fourfold.expressions import GenToken, ManifoldExpression, Term, parse, parse_manifold, resolve
 from fourfold.lattice import signature
-from fourfold.manifolds import connected_sum, descriptor_of, k3, surface_product
+from fourfold.manifolds import (
+    CP2,
+    CP2BAR,
+    K3,
+    S1XS3,
+    S4,
+    SP,
+    connected_sum,
+    descriptor_of,
+    k3,
+    surface_product,
+)
 
 
 def test_parse_simple_sum():
@@ -105,3 +118,24 @@ def test_parse_file_token_roundtrip():
     expr = parse("@some/file.json # K3")
     assert expr.terms[0].gen == GenToken("FILE", path="some/file.json")
     assert str(expr) == "@some/file.json # K3"
+
+
+# A file path runs to the next whitespace or '#'.
+PATHS = st.text(st.characters(blacklist_characters="#"), min_size=1).filter(
+    lambda p: not any(c.isspace() for c in p)
+)
+GENERATORS = (
+    st.sampled_from([K3, CP2, CP2BAR, S1XS3, S4]).map(GenToken)
+    | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).map(
+        lambda g: GenToken(SP, genera=g)
+    )
+    | PATHS.map(lambda p: GenToken("FILE", path=p))
+)
+EXPRESSIONS = st.lists(
+    st.builds(Term, st.integers(1, 10**6), GENERATORS), min_size=1, max_size=6
+).map(lambda terms: ManifoldExpression(tuple(terms)))
+
+
+@given(EXPRESSIONS)
+def test_parse_inverts_str(expr):
+    assert parse(str(expr)) == expr

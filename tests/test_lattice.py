@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -268,3 +269,33 @@ def test_direct_sum_does_not_pad():
     assert sum(len(row) for row in total.rows) == sum(
         len(row) for row in a.rows + b.rows
     )
+
+
+def _random_lattice(rng):
+    """A generator form, a random form with zeros, or a direct sum of
+    random blocks under a random basis permutation."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(
+            [k3().h2, surface_product(rng.randint(1, 2), rng.randint(1, 2)).h2, HYPERBOLIC,
+             Lattice.from_rows(())]
+        )
+    if kind == 1:
+        return Lattice.from_rows(random_symmetric(rng.randint(1, 6), rng, bound=1))
+    rows = dense_direct_sum([_random_block(rng) for _ in range(rng.randint(2, 5))])
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return Lattice.from_rows(permuted(rows, perm))
+
+
+def test_direct_sum_blocks_match_union_find():
+    rng = random.Random(47)
+    for _ in range(100):
+        lats = [_random_lattice(rng) for _ in range(rng.randint(1, 5))]
+        total = direct_sum(*lats)
+        recomputed = Lattice(total.rows)
+        assert sorted(total.blocks) == sorted(recomputed.blocks)
+        assert total == recomputed and hash(total) == hash(recomputed)
+        assert total.rows == reduce(direct_sum, lats).rows
+        assert inertia(total) == dense_inertia(total.form)
+        assert determinant(total) == dense_determinant(total.form)

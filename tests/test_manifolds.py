@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold.errors import ValidationError
-from fourfold.lattice import determinant, pairing, signature, zero_vector
+from fourfold.lattice import Lattice, determinant, inertia, pairing, signature, zero_vector
 from fourfold.manifolds import (
     ManifoldData,
     connected_sum,
@@ -20,7 +22,7 @@ from fourfold.manifolds import (
 )
 from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
-from genforms import WRONG_TYPES, wrong_type_descriptor
+from genforms import WRONG_TYPES, random_descriptor, wrong_type_descriptor
 
 
 def test_k3_profile():
@@ -243,3 +245,109 @@ def test_load_descriptor(tmp_path):
     bad.write_text("not json")
     with pytest.raises(ValidationError, match="JSON"):
         load_descriptor(str(bad))
+
+
+def _random_piece(rng):
+    build = rng.choice(
+        [
+            k3,
+            cp2,
+            cp2bar,
+            s1xs3,
+            s4,
+            lambda: surface_product(rng.randint(1, 3), rng.randint(1, 3)),
+            lambda: custom(random_descriptor(rng)),
+            lambda: custom({**random_descriptor(rng), "c1": None}),
+        ]
+    )
+    return build()
+
+
+def test_nary_connected_sum_equals_pairwise_fold():
+    rng = random.Random(53)
+    for _ in range(80):
+        pieces = [_random_piece(rng) for _ in range(rng.randint(1, 6))]
+        folded = pieces[0]
+        for piece in pieces[1:]:
+            folded = connected_sum(folded, piece)
+        total = connected_sum(*pieces)
+        assert total.b1 == folded.b1
+        assert total.h2.rows == folded.h2.rows
+        assert total.h2.blocks == folded.h2.blocks
+        assert total.cup1 == folded.cup1
+        assert total.euler == folded.euler
+        assert total.summands == folded.summands
+        assert total.canonical_c1 == folded.canonical_c1
+        # Independently of the binary sum: each piece's cup classes sit at
+        # its own offsets in H^1 and in H^2.
+        b1 = rank = 0
+        for piece in pieces:
+            for i in range(piece.b1):
+                for j in range(piece.b1):
+                    inner = cup_class(piece, i, j)
+                    padded = (0,) * rank + inner + (0,) * (total.h2.rank - rank - len(inner))
+                    assert cup_class(total, i + b1, j + b1) == padded
+            b1, rank = b1 + piece.b1, rank + piece.h2.rank
+
+
+# JSON values of every type, for fields that expect another one.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def descriptors(draw):
+    """Descriptor-shaped JSON objects: mostly valid, with forms that are
+    often disconnected or have zero rows, then one field corrupted."""
+    n = draw(st.integers(0, 5))
+    form = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            form[i][j] = form[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+    b1 = draw(st.integers(0, 4))
+    d = {"b1": b1, "form": form, "euler": 2 - 2 * b1 + n}
+    if draw(st.booleans()):
+        pair = st.tuples(st.integers(-1, b1 + 1), st.integers(-1, b1 + 1))
+        keys = pair.map(lambda p: f"{p[0]},{p[1]}") | st.text(max_size=4)
+        d["cup1"] = draw(
+            st.dictionaries(keys, st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=4)
+        )
+    if draw(st.booleans()):
+        d["c1"] = draw(st.none() | st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        d["label"] = draw(st.text(max_size=4))
+    fields = ["b1", "form", "euler", "cup1", "c1", "label"]
+    corruption = draw(st.sampled_from(["none", "replace", "delete", "unknown", "shape"]))
+    if corruption == "replace":
+        d[draw(st.sampled_from(fields))] = draw(JSON_VALUES)
+    elif corruption == "delete":
+        d.pop(draw(st.sampled_from(fields)), None)
+    elif corruption == "unknown":
+        d[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    elif corruption == "shape" and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = form[i]
+        edit = draw(st.sampled_from(["ragged", "asymmetric", "bool", "value"]))
+        if edit == "ragged":
+            del row[-1]
+        elif edit == "asymmetric":
+            row[j] += 1
+        elif edit == "bool":
+            row[j] = bool(row[j])
+        else:
+            row[j] = draw(JSON_VALUES)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(descriptors())
+def test_custom_raises_only_validation_errors(descriptor):
+    try:
+        m = custom(descriptor)
+    except ValidationError:
+        return
+    assert sorted(m.h2.blocks) == sorted(Lattice(m.h2.rows).blocks)
+    assert sum(inertia(m.h2)) == m.h2.rank
