@@ -8,6 +8,7 @@ not met.  Hypothesis failures are never dressed up as computed results.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import report as rpt
@@ -72,7 +73,7 @@ def _cmd_analyze(args) -> dict:
         report["spinc"] = None
         report["spinc_skipped"] = str(exc)
     else:
-        report["spinc"] = rpt.spinc_summary(m, s, source)
+        report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
         report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
     report["hitchin_thorpe"] = hitchin_thorpe(m)
     return report
@@ -83,7 +84,7 @@ def _cmd_star(args) -> dict:
     s, source = _spinc_for(m, args.c1)
     report = rpt.base_report("star", _echo(args))
     report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source)
+    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
     report["result"] = report["spinc"]["condition"]
     return report
 
@@ -95,7 +96,7 @@ def _cmd_sigma0(args) -> dict:
     covered_summands(m, s)
     report = rpt.base_report("sigma0", _echo(args))
     report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source)
+    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
     report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
     if not report["bordism"]["applicable"]:
         raise InapplicableError(report["bordism"]["reason"])
@@ -111,7 +112,7 @@ def _cmd_genus(args) -> dict:
         _echo(args, self_int=args.self_int, pairing=args.pairing, genus=args.genus),
     )
     report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source)
+    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
     condition = rpt.spin_condition_of(report["spinc"])
     if args.genus is not None:
         cand = SurfaceCandidate(
@@ -140,7 +141,7 @@ def _cmd_yamabe(args) -> dict:
     n1 = _manifold(args.n1)
     # Uncovered pairs are refused before the spin^c section checks their data.
     covered_summands(m, s)
-    spinc_section = rpt.spinc_summary(m, s, source)
+    spinc_section = rpt.spinc_summary(m, s, source, args.json)
     value = yamabe_value(
         m, s, n1, args.nonneg_scalar, rpt.spin_condition_of(spinc_section)
     )
@@ -165,7 +166,7 @@ def _cmd_einstein(args) -> dict:
     n2 = _manifold(args.n2)
     # Uncovered pairs are refused before the spin^c section checks their data.
     covered_summands(m, s)
-    spinc_section = rpt.spinc_summary(m, s, source)
+    spinc_section = rpt.spinc_summary(m, s, source, args.json)
     verdict = einstein_nonexistence(m, s, n2, rpt.spin_condition_of(spinc_section))
     report = rpt.base_report("einstein", _echo(args, n2=args.n2))
     report["manifold"] = rpt.manifold_summary(m)
@@ -268,10 +269,16 @@ def main(argv=None) -> int:
     except InapplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(rpt.to_json(report))
-    else:
-        print(rpt.render_text(report))
+    try:
+        print(rpt.to_json(report) if args.json else rpt.render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`fourfold ... | head`).  Point stdout at
+        # devnull so that the flush at interpreter exit fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

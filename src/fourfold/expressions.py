@@ -71,6 +71,17 @@ class ManifoldExpression:
         return " # ".join(str(t) for t in self.terms)
 
 
+# Longer integer literals name manifolds far beyond anything that can be
+# built, and the cap keeps int() well inside CPython's digit limit.
+MAX_INTEGER_DIGITS = 18
+
+
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: ``str.isdigit`` also accepts superscripts and other
+    scripts' digits, which ``int`` rejects or reads silently."""
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -97,10 +108,12 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > MAX_INTEGER_DIGITS:
+            raise ParseError(f"integer has more than {MAX_INTEGER_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def word(self) -> tuple[str, int]:
@@ -138,7 +151,7 @@ def parse(expr: str) -> ManifoldExpression:
 def _parse_term(scanner: _Scanner) -> Term:
     if scanner.at_end():
         raise ParseError("expected a generator", scanner.pos)
-    if scanner.peek().isdigit():
+    if _is_digit(scanner.peek()):
         count = scanner.integer()
         if count < 1:
             raise ParseError("multiplicity must be positive", scanner.pos)

@@ -138,12 +138,6 @@ def pairing(lat: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
     return sum(xi * sum(q * y[j] for j, q in lat.rows[i]) for i, xi in enumerate(x) if xi)
 
 
-def apply_form(lat: Lattice, x: Sequence[int]) -> list[int]:
-    """Q x as a dense list, in O(nnz)."""
-    _check_length(lat, x, "x")
-    return [sum(q * x[j] for j, q in row) for row in lat.rows]
-
-
 def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
     """The rows of each connected component of the graph of nonzero
     entries, renumbered from 0, found by union-find in O(nnz); a zero row

@@ -50,36 +50,37 @@ def manifold_summary(m: ManifoldData) -> dict:
     }
 
 
-def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str) -> dict:
-    """The spin^c section, derived from one cup-pairing matrix.
+def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: bool = False) -> dict:
+    """The spin^c section, derived from one set of cup pairings.
 
-    ``w2`` is the mod-2 data of the approximation bundles for an even
-    approximation dimension (``m_parity`` 0): torus part = index Chern
-    matrix mod 2, h coefficient = Dirac index mod 2, e*h coefficient 0.
+    ``matrices`` adds the dense b1 x b1 cup-pairing and index Chern
+    matrices of the JSON report; the text report never shows them, so it
+    never builds them.  ``w2`` is the mod-2 data of the approximation
+    bundles for an even approximation dimension (``m_parity`` 0): torus
+    part = index Chern matrix mod 2, h coefficient = Dirac index mod 2,
+    e*h coefficient 0.
     """
     cup = cup_pairing_matrix(m, s)
-    chern = TorusTwoForm.halving(cup)
+    chern = TorusTwoForm.halving(m.b1, cup)
     index = dirac_index(m, s)
     condition = SpinCondition.of(index, chern)
-    return {
-        "c1": list(s.c1),
-        "source": source,
-        "dirac_index": index,
-        "cup_pairing_matrix": [list(r) for r in cup],
-        "index_chern_matrix": [list(r) for r in chern.entries],
-        "condition": {
-            "index_even": condition.index_even,
-            "chern_even": condition.chern_even,
-            "holds": condition.holds,
-        },
-        "moduli_dimension": moduli_dimension(m, s),
-        "w2": {
-            "m_parity": 0,
-            "torus_part_zero": condition.chern_even,
-            "h_coefficient": index % 2,
-            "e_h_coefficient": 0,
-        },
+    section = {"c1": list(s.c1), "source": source, "dirac_index": index}
+    if matrices:
+        section["cup_pairing_matrix"] = [list(r) for r in TorusTwoForm(m.b1, cup).dense()]
+        section["index_chern_matrix"] = [list(r) for r in chern.dense()]
+    section["condition"] = {
+        "index_even": condition.index_even,
+        "chern_even": condition.chern_even,
+        "holds": condition.holds,
     }
+    section["moduli_dimension"] = moduli_dimension(m, s)
+    section["w2"] = {
+        "m_parity": 0,
+        "torus_part_zero": condition.chern_even,
+        "h_coefficient": index % 2,
+        "e_h_coefficient": 0,
+    }
+    return section
 
 
 def spin_condition_of(spinc: dict) -> SpinCondition:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntegralityError, ValidationError
-from .lattice import Vector, apply_form, as_vector, is_characteristic, pairing, signature
+from .lattice import Vector, as_vector, is_characteristic, pairing, signature
 from .manifolds import ManifoldData
 
 
@@ -27,49 +27,41 @@ class SpinCStructure:
 
 @dataclass(frozen=True)
 class TorusTwoForm:
-    """Antisymmetric integer matrix of a 2-form on the Jacobian torus.
+    """Integer 2-form on the Jacobian torus, antisymmetric by construction.
 
-    Entry (i, j) is the coefficient of beta_i beta_j in the basis dual to
-    the chosen H^1 generators.
+    ``entries`` maps (i, j) with i < j to the nonzero coefficient of
+    beta_i beta_j in the basis dual to the chosen H^1 generators; the
+    entry at (j, i) is its negative and every other entry is zero.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValidationError(f"torus 2-form row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            if self.entries[i][i] != 0:
-                raise ValidationError(f"torus 2-form has nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise ValidationError(f"torus 2-form not antisymmetric at ({i},{j})")
+    size: int
+    entries: dict[tuple[int, int], int]
 
     @classmethod
-    def halving(cls, pairings: tuple[tuple[int, ...], ...]) -> "TorusTwoForm":
-        """Half of a cup-pairing matrix.  An odd pairing contradicts the
-        integrality of the index Chern class and flags corrupt input data."""
-        rows = []
-        for i, row in enumerate(pairings):
-            out = []
-            for j, x in enumerate(row):
-                if x % 2 != 0:
-                    raise IntegralityError(
-                        f"cup pairing at ({i},{j}) is odd ({x}); "
-                        "half-integral index Chern class is not allowed"
-                    )
-                out.append(x // 2)
-            rows.append(tuple(out))
-        return cls(tuple(rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+    def halving(cls, size: int, pairings: dict[tuple[int, int], int]) -> "TorusTwoForm":
+        """Half of a cup-pairing matrix given by its nonzero upper entries.
+        An odd pairing contradicts the integrality of the index Chern class
+        and flags corrupt input data; the error names the first odd entry
+        of the dense matrix in row-major order."""
+        odd = [key for key, x in pairings.items() if x % 2]
+        if odd:
+            i, j = min(odd)
+            raise IntegralityError(
+                f"cup pairing at ({i},{j}) is odd ({pairings[i, j]}); "
+                "half-integral index Chern class is not allowed"
+            )
+        return cls(size, {key: x // 2 for key, x in pairings.items()})
 
     def all_even(self) -> bool:
-        return all(x % 2 == 0 for row in self.entries for x in row)
+        return all(x % 2 == 0 for x in self.entries.values())
+
+    def dense(self) -> tuple[tuple[int, ...], ...]:
+        """The full size x size matrix, O(size^2): for export only."""
+        rows = [[0] * self.size for _ in range(self.size)]
+        for (i, j), x in self.entries.items():
+            rows[i][j] = x
+            rows[j][i] = -x
+        return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -121,19 +113,25 @@ def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
     return num // 8
 
 
-def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> tuple[tuple[int, ...], ...]:
-    """Matrix of pairings <c1 alpha_i alpha_j, [M]> over the H^1 generators.
+def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[int, int], int]:
+    """The nonzero pairings {(i, j): <c1 alpha_i alpha_j, [M]>}, i < j,
+    over the H^1 generators.
 
-    Q c1 is formed once, in O(nnz); each entry is then a dot product with
-    a sparse cup class."""
-    q_c1 = apply_form(manifold.h2, s.c1)
-    b1 = manifold.b1
-    t = [[0] * b1 for _ in range(b1)]
-    for (i, j), v in manifold.cup1.items():
-        p = sum(q_c1[k] * x for k, x in v)
-        t[i][j] = p
-        t[j][i] = -p
-    return tuple(tuple(row) for row in t)
+    Q c1 is formed once over the rows where c1 is nonzero; each pairing
+    is then a dot product with a sparse cup class, so the cost is
+    O(rank + nnz of those rows + len(cup1)) and no b1 x b1 matrix is built."""
+    rows = manifold.h2.rows
+    q_c1: dict[int, int] = {}
+    for i, c in enumerate(s.c1):
+        if c:
+            for j, q in rows[i]:
+                q_c1[j] = q_c1.get(j, 0) + q * c
+    pairings = {}
+    for key, v in manifold.cup1.items():
+        p = sum(q_c1.get(k, 0) * x for k, x in v)
+        if p:
+            pairings[key] = p
+    return pairings
 
 
 def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
@@ -141,7 +139,7 @@ def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
 
     Entries are half the cup pairings; see :meth:`TorusTwoForm.halving`.
     """
-    return TorusTwoForm.halving(cup_pairing_matrix(manifold, s))
+    return TorusTwoForm.halving(manifold.b1, cup_pairing_matrix(manifold, s))
 
 
 def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:

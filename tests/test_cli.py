@@ -297,3 +297,21 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 1, 0]
     assert in_process == fresh
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The JSON report of 20*SP(3,3), 1.3 MB, is far larger than a pipe
+    # buffer, so the writer is still writing when the reader closes the pipe.
+    src = os.path.dirname(os.path.dirname(fourfold.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fourfold.cli", "analyze", "20*SP(3,3)", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -3,7 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fourfold.errors import ParseError, ValidationError
-from fourfold.expressions import GenToken, ManifoldExpression, Term, parse, parse_manifold, resolve
+from fourfold.expressions import (
+    MAX_INTEGER_DIGITS,
+    GenToken,
+    ManifoldExpression,
+    Term,
+    parse,
+    parse_manifold,
+    resolve,
+)
 from fourfold.lattice import signature
 from fourfold.manifolds import (
     CP2,
@@ -67,6 +75,27 @@ def test_parse_reports_offsets():
     with pytest.raises(ParseError) as err:
         parse("K3 # K3 # XX7")
     assert err.value.offset == 10
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("\u00b2*K3", 0),  # superscript two: str.isdigit accepts it, int does not
+        ("SP(3,\u0663)", 5),  # Arabic-Indic three: int would read it as 3
+        ("9" * 5000 + "*K3", 0),  # past CPython's 4300-digit int conversion limit
+        ("SP(3," + "1" * (MAX_INTEGER_DIGITS + 1) + ")", 5),
+    ],
+    ids=["superscript", "arabic-indic", "5000-digits", "cap-plus-one"],
+)
+def test_parse_integer_literals_are_short_ascii_digit_runs(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+def test_parse_accepts_integer_at_digit_cap():
+    count = int("9" * MAX_INTEGER_DIGITS)
+    assert parse(f"{count}*K3").terms[0].count == count
 
 
 def test_roundtrip_print_parse():

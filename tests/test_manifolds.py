@@ -247,6 +247,23 @@ def test_load_descriptor(tmp_path):
         load_descriptor(str(bad))
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b'{"b1": 0, "form": [[' + b"9" * 5000 + b']], "euler": 3}', "not readable JSON"),
+        (b'{"b1": 0, "form": [[-1]], "euler": 3, "label": "\xe9"}', "not UTF-8"),
+    ],
+    ids=["deep-nesting", "long-integer", "latin-1"],
+)
+def test_load_descriptor_unreadable_file_is_validation_error(tmp_path, content, message):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match=message) as info:
+        load_descriptor(str(path))
+    assert str(path) in str(info.value)
+
+
 def _random_piece(rng):
     build = rng.choice(
         [

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from fourfold.cli import main
 from fourfold.errors import IntegralityError, ValidationError
 from fourfold.lattice import pairing
 from fourfold.manifolds import connected_sum, cp2bar, cup_class, custom, k3, surface_product
@@ -42,6 +44,19 @@ def odd_pairing_fixture():
     )
 
 
+def densify(size, upper):
+    """The antisymmetric size x size matrix with the given upper entries."""
+    rows = [[0] * size for _ in range(size)]
+    for (i, j), x in upper.items():
+        assert 0 <= i < j < size and x != 0
+        rows[i][j], rows[j][i] = x, -x
+    return tuple(tuple(row) for row in rows)
+
+
+def cup_matrix(m, s):
+    return densify(m.b1, cup_pairing_matrix(m, s))
+
+
 def test_dirac_index_k3():
     m = k3()
     assert dirac_index(m, canonical_spinc(m)) == 2
@@ -74,12 +89,12 @@ def test_canonical_spinc_missing():
 
 def test_cup_pairing_matrix_empty_for_b1_zero():
     m = k3()
-    assert cup_pairing_matrix(m, canonical_spinc(m)) == ()
+    assert cup_pairing_matrix(m, canonical_spinc(m)) == {}
 
 
 def test_cup_pairing_matrix_surface_product_mod4():
     m = surface_product(3, 3)
-    t = cup_pairing_matrix(m, canonical_spinc(m))
+    t = cup_matrix(m, canonical_spinc(m))
     assert len(t) == m.b1
     assert any(any(row) for row in t)
     for i in range(m.b1):
@@ -92,9 +107,9 @@ def test_cup_pairing_matrix_surface_product_mod4():
 def test_cup_pairing_matrix_block_diagonal_on_sums():
     a, b = surface_product(1, 1), surface_product(3, 1)
     m = connected_sum(a, b)
-    t = cup_pairing_matrix(m, canonical_spinc(m))
-    ta = cup_pairing_matrix(a, canonical_spinc(a))
-    tb = cup_pairing_matrix(b, canonical_spinc(b))
+    t = cup_matrix(m, canonical_spinc(m))
+    ta = cup_matrix(a, canonical_spinc(a))
+    tb = cup_matrix(b, canonical_spinc(b))
     for i in range(a.b1):
         for j in range(a.b1, m.b1):
             assert t[i][j] == 0
@@ -116,18 +131,19 @@ def test_cup_pairing_matrix_matches_dense_oracle():
             tuple(pairing(m.h2, s.c1, cup_class(m, i, j)) for j in range(m.b1))
             for i in range(m.b1)
         )
-        assert cup_pairing_matrix(m, s) == oracle
+        assert cup_matrix(m, s) == oracle
 
 
 def test_index_chern_form_halves_pairings():
     m = surface_product(3, 3)
     s = canonical_spinc(m)
-    t = cup_pairing_matrix(m, s)
+    t = cup_matrix(m, s)
     c = index_chern_form(m, s)
     assert c.size == m.b1
+    assert c.dense() == densify(c.size, c.entries)
     for i in range(m.b1):
         for j in range(m.b1):
-            assert 2 * c.entries[i][j] == t[i][j]
+            assert 2 * c.dense()[i][j] == t[i][j]
     assert c.all_even()
 
 
@@ -135,6 +151,24 @@ def test_index_chern_form_integrality_gate():
     m = odd_pairing_fixture()
     with pytest.raises(IntegralityError, match="odd"):
         index_chern_form(m, canonical_spinc(m))
+
+
+def test_integrality_error_names_first_odd_entry_in_row_major_order():
+    # Two odd pairings, listed in reverse order: the error names (0,1),
+    # the first odd entry of the dense matrix, not the first key given.
+    m = custom(
+        {
+            "b1": 3,
+            "form": [[1, 1], [1, 0]],
+            "euler": -2,
+            "cup1": {"2,3": [1, 0], "1,2": [3, 0]},
+            "c1": [0, 1],
+        }
+    )
+    message = "cup pairing at (0,1) is odd (3); half-integral index Chern class is not allowed"
+    with pytest.raises(IntegralityError) as err:
+        index_chern_form(m, canonical_spinc(m))
+    assert str(err.value) == message
 
 
 def test_spin_condition_k3():
@@ -228,12 +262,32 @@ def test_spin_condition_stable_under_sums():
 def test_index_chern_form_block_sum():
     a, b = surface_product(3, 1), surface_product(1, 1)
     m = connected_sum(a, b)
-    cm = index_chern_form(m, canonical_spinc(m)).entries
-    ca = index_chern_form(a, canonical_spinc(a)).entries
-    cb = index_chern_form(b, canonical_spinc(b)).entries
+    cm = index_chern_form(m, canonical_spinc(m)).dense()
+    ca = index_chern_form(a, canonical_spinc(a)).dense()
+    cb = index_chern_form(b, canonical_spinc(b)).dense()
     for i in range(a.b1):
         assert cm[i][: a.b1] == ca[i]
         assert not any(cm[i][a.b1 :])
     for i in range(b.b1):
         assert cm[a.b1 + i][a.b1 :] == cb[i]
         assert not any(cm[a.b1 + i][: a.b1])
+
+
+def test_text_analyze_memory_is_linear_in_summands(capsys):
+    # b1 grows linearly with k, so a b1 x b1 matrix would quadruple the
+    # peak when k doubles; text mode builds none.  Each peak is counted
+    # above the memory already held when the request starts (the parser,
+    # the memos and what they keep of earlier requests).
+    assert main(["analyze", "SP(3,3)"]) == 0
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for k in (50, 100):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert main(["analyze", f"{k}*SP(3,3)"]) == 0
+            peaks[k] = tracemalloc.get_traced_memory()[1] - held
+            capsys.readouterr()
+    finally:
+        tracemalloc.stop()
+    assert peaks[100] <= 2.5 * peaks[50], peaks
