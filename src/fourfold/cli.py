@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import report as rpt
 from .bordism import covered_summands
 from .errors import InapplicableError, ValidationError
-from .expressions import parse, resolve
+from .expressions import MAX_INTEGER_DIGITS, parse, resolve
 from .manifolds import SP, ManifoldData
 from .obstructions import (
     SurfaceCandidate,
@@ -35,10 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_INTEGER = re.compile(rf" *[+-]?[0-9]{{1,{MAX_INTEGER_DIGITS}}} *")
+
+
+def _integer(text: str) -> int:
+    """An optionally signed run of ASCII digits, no longer than the
+    expression scanner allows, optionally surrounded by spaces.  ``int``
+    alone would also read other Unicode digits and underscores.  This is
+    the argparse ``type=`` of every integer option, so a refusal reads
+    like argparse's own."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_c1(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+        return tuple(_integer(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
         raise ValidationError(f"--c1 must be a comma-separated integer list, got '{text}'") from None
 
 
@@ -228,9 +243,9 @@ def build_parser() -> _Parser:
     add("sigma0", _cmd_sigma0, "bordism verdict for the covered family")
 
     p = add("genus", _cmd_genus, "adjunction genus bound for a surface candidate")
-    p.add_argument("--self-int", dest="self_int", type=int, required=True)
-    p.add_argument("--pairing", type=int, default=0)
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--self-int", dest="self_int", type=_integer, required=True)
+    p.add_argument("--pairing", type=_integer, default=0)
+    p.add_argument("--genus", type=_integer, default=None)
 
     p = add("yamabe", _cmd_yamabe, "Yamabe invariant of the sum with N1")
     p.add_argument("--n1", required=True, help="negative definite summand expression")
@@ -247,8 +262,8 @@ def build_parser() -> _Parser:
     p = add("scan", _cmd_scan, "scan blow-up counts for two surface products", expression=False)
     p.add_argument("--G-from", dest="G_from", required=True,
                    help="expression with exactly two surface products")
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--r-max", dest="r_max", type=int, required=True)
+    p.add_argument("--s", type=_integer, default=0)
+    p.add_argument("--r-max", dest="r_max", type=_integer, required=True)
 
     return parser
 

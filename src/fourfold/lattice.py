@@ -1,14 +1,14 @@
 """Exact integer linear algebra for lattices with symmetric bilinear forms.
 
-Everything here is exact: pairings and determinants stay in arbitrary
-precision integers, the inertia computation uses rational congruent
-diagonalization.  No floating point touches any verdict path.
+Everything here is exact: pairings, inertia and determinants stay in
+arbitrary precision integers, and each block is eliminated once, by a
+symmetric fraction-free (Bareiss) elimination that yields both its
+inertia and its determinant.  No floating point touches any verdict path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Mapping, Sequence
@@ -165,15 +165,23 @@ def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
 
 @lru_cache(maxsize=256)
 def _block_invariants(block: Block) -> tuple[int, int, int, int]:
-    """(positive, negative, zero, determinant) of one connected block:
-    congruent diagonalization with exact ``Fraction`` pivots, where once
-    the remaining diagonal is zero an off-diagonal (i,j) is promoted by
-    adding row/column j to row/column i, then Bareiss elimination.
-    Memoized: generator blocks (E8, H, the pairs of a surface product,
-    +-1) recur in every sum built from them."""
+    """(positive, negative, zero, determinant) of one connected block, by a
+    single symmetric fraction-free (Bareiss) elimination.
+
+    Before step k the trailing block is ``prev``, the previous pivot (a
+    leading principal minor), times the Schur complement, so the LDL^T
+    pivot of step k is p / prev (Jacobi's rule) and the last pivot is the
+    determinant.  A zero pivot is first swapped symmetrically with a later
+    nonzero diagonal entry; once the trailing diagonal is zero, an
+    off-diagonal (i,j) is promoted by adding row/column j to row/column i.
+    Both moves are unimodular congruences, which keep the determinant and
+    the exactness of the divisions.  An all-zero trailing block is the
+    radical.  Memoized: generator blocks (E8, H, the pairs of a surface
+    product, +-1) recur in every sum built from them."""
     n = len(block)
     a = [list(dense(row, n)) for row in block]
-    pos = neg = zero = 0
+    pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -182,8 +190,7 @@ def _block_invariants(block: Block) -> tuple[int, int, int, int]:
                     ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
                 )
                 if pair is None:
-                    zero += n - k
-                    break
+                    return (pos, neg, n - k, 0)
                 i, j = pair
                 # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
                 for t in range(k, n):
@@ -196,36 +203,16 @@ def _block_invariants(block: Block) -> tuple[int, int, int, int]:
                 for t in range(k, n):
                     a[t][k], a[t][j] = a[t][j], a[t][k]
         p = a[k][k]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        col = [(i, a[i][k]) for i in range(k + 1, n) if a[i][k]]
-        for i, ci in col:
-            fi = Fraction(ci) / Fraction(p)
-            row_i = a[i]
-            for j, cj in col:
-                if j >= i:
-                    v = a[i][j] - fi * cj
-                    row_i[j] = v
-                    if j != i:
-                        a[j][i] = v
-            row_i[k] = 0
-            a[k][i] = 0
-    a = [list(dense(row, n)) for row in block]
-    sign = prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return (pos, neg, zero, 0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return (pos, neg, zero, sign * a[n - 1][n - 1])
+        row_k = a[k][k + 1:]
+        for row in a[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], row_k)]
+        prev = p
+    return (pos, neg, 0, prev)
 
 
 @lru_cache(maxsize=64)

@@ -58,12 +58,35 @@ def test_analyze_explicit_c1(capsys):
     assert code == 0
     assert report["spinc"]["source"] == "explicit"
     assert report["spinc"]["dirac_index"] == 0
+    # Entries may carry a sign and spaces, as in --c1="1, 3".
+    code, report, _ = run_json(capsys, "analyze", "CP2 # ~CP2", "--c1=+1, 3 ")
+    assert (code, report["input"]["c1"]) == (0, [1, 3])
 
 
 def test_analyze_bad_c1_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "~CP2", "--c1", "0")
     assert code == 1
     assert "characteristic" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "~CP2", "--c1=-\u0661"], "--c1 must be a comma-separated integer list"),
+        (["analyze", "CP2 # ~CP2", "--c1=1,\t3"], "--c1 must be a comma-separated integer list"),
+        (["genus", "K3 # K3", "--self-int", "\u0666"], "invalid int value: '\u0666'"),
+        (["genus", "K3 # K3", "--self-int", "1_0"], "invalid int value: '1_0'"),
+        (["genus", "K3 # K3", "--self-int", "6", "--pairing", "1" * 19], "invalid int value"),
+        (["scan", "--G-from", "2*SP(3,3)", "--r-max", "\u0663"], "invalid int value"),
+    ],
+)
+def test_integer_options_take_short_ascii_digit_runs(capsys, argv, message):
+    # int() alone would read Arabic-Indic digits and underscores; the
+    # options take what the expression scanner takes.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

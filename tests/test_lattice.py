@@ -207,10 +207,29 @@ def _assert_matches_dense_oracle(rows):
     assert inertia(lat) == dense_inertia(rows)
 
 
+def _zero_diagonal(n, rng):
+    rows = random_symmetric(n, rng)
+    for i in range(n):
+        rows[i][i] = 0
+    return rows
+
+
+def _rank_deficient(n, rng):
+    """P^T (D + 0_r) P with r >= 1: a congruent form with a radical."""
+    r = rng.randint(1, n)
+    d = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n - r)] + [0] * r
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return transform(diag, random_unimodular(n, rng))
+
+
 def test_blockwise_matches_dense_oracle_on_random_forms():
+    # Besides forms with a full diagonal: all-zero diagonals, where an
+    # off-diagonal entry must be promoted to a pivot, and forms with a
+    # radical, whose elimination ends in an all-zero trailing block.
     rng = random.Random(31)
-    for _ in range(150):
-        _assert_matches_dense_oracle(random_symmetric(rng.randint(1, 8), rng))
+    for family in (random_symmetric, _zero_diagonal, _rank_deficient):
+        for _ in range(150):
+            _assert_matches_dense_oracle(family(rng.randint(1, 8), rng))
 
 
 def test_blockwise_matches_dense_oracle_on_permuted_direct_sums():

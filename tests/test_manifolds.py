@@ -368,3 +368,23 @@ def test_custom_raises_only_validation_errors(descriptor):
         return
     assert sorted(m.h2.blocks) == sorted(Lattice(m.h2.rows).blocks)
     assert sum(inertia(m.h2)) == m.h2.rank
+
+
+GENERATOR_PIECES = st.sampled_from([k3, cp2, cp2bar, s1xs3, s4]).map(
+    lambda make: make()
+) | st.builds(surface_product, st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GENERATOR_PIECES, min_size=1, max_size=5))
+def test_descriptor_round_trip_of_random_sums(pieces):
+    # connected_sum skips the whole-sum checks; custom runs all of them on
+    # the exported descriptor, and finds the blocks again by union-find.
+    m = connected_sum(*pieces)
+    again = custom(descriptor_of(m))
+    assert again.h2.rows == m.h2.rows
+    assert (again.b1, again.cup1, again.euler) == (m.b1, m.cup1, m.euler)
+    assert again.canonical_c1 == m.canonical_c1
+    # Past inertia's own cache, which equal lattices would share.
+    assert inertia.__wrapped__(again.h2) == inertia.__wrapped__(m.h2)
+    assert determinant(again.h2) == determinant(m.h2)
