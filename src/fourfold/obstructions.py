@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
 from .errors import InapplicableError, ValidationError
@@ -18,8 +17,9 @@ from .lattice import inertia, is_negative_definite
 from .manifolds import ManifoldData, cp2bar, connected_sum, s1xs3, s4, surface_product
 from .spinc import SpinCondition, SpinCStructure, canonical_spinc
 
-# Largest r_max a scan accepts.  A row is O(1), so the bound caps the
-# size of the table, not the work per row.
+# Largest r_max a scan accepts.  Each row steps the previous one by one
+# ~CP^2 in a few integer additions, so the bound caps the size of the
+# table, not the work per row.
 SCAN_R_MAX = 100_000
 
 Inertia = tuple[int, int, int]
@@ -190,29 +190,22 @@ def yamabe_value(
     return PiRadical.of(-4, 2 * certificate.c1_square)
 
 
-def _sum_invariants(pieces: list[tuple[int, int, Inertia]]) -> tuple[int, Inertia]:
-    """(chi, inertia) of a connected sum from (count, chi, inertia) per
-    piece kind: chi = sum of chi_i - 2(k-1) over k pieces, inertia adds."""
-    k = sum(count for count, _, _ in pieces)
-    chi = sum(count * c for count, c, _ in pieces) - 2 * (k - 1)
-    inert = tuple(sum(count * i[t] for count, _, i in pieces) for t in range(3))
-    return chi, inert
-
-
 def example_scan(
     g1: int, g1p: int, g2: int, g2p: int, s: int, r_max: int
 ) -> dict:
     """Scan blow-up counts r for the sum of two odd-genus surface products
     with r copies of reversed CP^2 and s copies of S^1 x S^3.
 
-    The fixed sum M of the two products is certified once.  For each r in
-    0..r_max, chi and the inertia of N2 = S^4 # s S^1xS^3 # r ~CP^2 and of
-    M # N2 are added up from the pieces, and the Einstein-nonexistence and
-    Hitchin-Thorpe verdicts are evaluated on them with the same formulas
-    as :func:`einstein_nonexistence` and :func:`hitchin_thorpe`.  The
-    returned table also carries the closed-form window: the rational lower
-    bound (8/3)G - 4s - 4 and the integer window of r values satisfying
-    both verdicts.
+    The fixed sum M of the two products is certified once.  chi and the
+    inertia of N2 = S^4 # s S^1xS^3 # r ~CP^2 are added up for r = 0, and
+    each further row adds one ~CP^2: chi grows by chi(~CP^2) - 2 (the
+    neck of the connected sum) and the inertia by that of ~CP^2.  M # N2
+    has chi(M) + chi(N2) - 2 and the sum of the two inertias.  Every row's
+    Einstein-nonexistence and Hitchin-Thorpe verdicts are evaluated with
+    the same formulas as :func:`einstein_nonexistence` and
+    :func:`hitchin_thorpe`.  The returned table also carries the
+    closed-form window: the exact lower bound (8/3)G - 4s - 4 as a reduced
+    fraction and the integer window of r values satisfying both verdicts.
     """
     for g in (g1, g1p, g2, g2p):
         if g < 1 or g % 2 == 0:
@@ -228,30 +221,46 @@ def example_scan(
     certificate = _nontrivial_certificate(m, canonical_spinc(m))
     big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)
 
-    m_inv, s4_inv, s1xs3_inv, cp2bar_inv = (
+    (chi_m, inert_m), (chi_s4, inert_s4), (chi_h, inert_h), (chi_b, inert_b) = (
         (x.euler, inertia(x.h2)) for x in (m, s4(), s1xs3(), cp2bar())
     )
+    # N2 at r = 0 is S^4 # s S^1xS^3; every connected sum loses 2 from chi.
+    chi2 = chi_s4 + s * (chi_h - 2)
+    pos2, neg2, zero2 = (a + s * b for a, b in zip(inert_s4, inert_h))
+    pos_m, neg_m, zero_m = inert_m
+    step_chi = chi_b - 2
+    step_pos, step_neg, step_zero = inert_b
     rows = []
     for r in range(r_max + 1):
-        n2_inv = _sum_invariants([(1, *s4_inv), (s, *s1xs3_inv), (r, *cp2bar_inv)])
-        x_inv = _sum_invariants([(1, *m_inv), (1, *n2_inv)])
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": _einstein_obstructed(certificate, *n2_inv),
-                "hitchin_thorpe": _hitchin_thorpe(*x_inv),
+                "einstein_obstructed": _einstein_obstructed(
+                    certificate, chi2, (pos2, neg2, zero2)
+                ),
+                "hitchin_thorpe": _hitchin_thorpe(
+                    chi_m + chi2 - 2, (pos_m + pos2, neg_m + neg2, zero_m + zero2)
+                ),
             }
         )
+        chi2 += step_chi
+        pos2 += step_pos
+        neg2 += step_neg
+        zero2 += step_zero
 
-    lower = Fraction(8 * big_g, 3) - 4 * s - 4
+    # The exact bound (8/3)G - 4s - 4 = num/3 in lowest terms: gcd(num, 3)
+    # is 1 or 3.
+    num, den = 8 * big_g - 12 * s - 12, 3
+    if num % 3 == 0:
+        num, den = num // 3, 1
     upper = 8 * big_g - 4 * s - 4
-    window_lo = max(0, math.ceil(lower))
+    window_lo = max(0, -(-num // den))
     window = [window_lo, upper] if window_lo <= upper else None
     return {
         "G": big_g,
         "s": s,
         "r_max": r_max,
-        "einstein_lower_bound": {"numerator": lower.numerator, "denominator": lower.denominator},
+        "einstein_lower_bound": {"numerator": num, "denominator": den},
         "hitchin_thorpe_upper_bound": upper,
         "integer_window": window,
         "rows": rows,

@@ -1,7 +1,8 @@
 """Each request certifies the covered family once and builds the
 cup-pairing matrix at most once, a scan's cost in connected sums and
-inertia computations does not grow with r_max, resolving k*X takes one
-connected sum, and each distinct block and generator is built once."""
+inertia computations does not grow with r_max while each row evaluates
+both verdicts once, resolving k*X takes one connected sum, and each
+distinct block and generator is built once."""
 
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ import fourfold
 from fourfold.cli import main
 from fourfold.expressions import parse_manifold
 from fourfold.manifolds import ManifoldData, custom, k3, surface_product
+from fourfold import obstructions
 from fourfold.obstructions import example_scan
 
 COUNTED = (
@@ -85,6 +87,21 @@ def test_example_scan_work_independent_of_r_max(calls):
         per_r_max[r_max] = dict(calls)
     assert per_r_max[10]["certify_family"] == 1
     assert per_r_max[10] == per_r_max[100]
+
+
+def test_example_scan_evaluates_each_verdict_once_per_row(monkeypatch):
+    counts = Counter()
+    for name in ("_einstein_obstructed", "_hitchin_thorpe"):
+        original = getattr(obstructions, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(obstructions, name, counting)
+    r_max = 25
+    example_scan(3, 3, 5, 3, s=1, r_max=r_max)
+    assert counts == {"_einstein_obstructed": r_max + 1, "_hitchin_thorpe": r_max + 1}
 
 
 def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):

@@ -338,3 +338,17 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_import_does_not_load_fractions():
+    # Every verdict is computed over integers, so the CLI needs no
+    # rational arithmetic at import time.
+    src = os.path.dirname(os.path.dirname(fourfold.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fourfold.cli; print('fractions' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -6,6 +6,7 @@ import pytest
 from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
 from fourfold.manifolds import connected_sum, cp2, cp2bar, k3, s1xs3, s4, surface_product
 from fourfold.obstructions import (
+    SCAN_R_MAX,
     PiRadical,
     SurfaceCandidate,
     einstein_nonexistence,
@@ -193,6 +194,34 @@ def test_example_scan_matches_closed_form():
             r = row["r"]
             assert row["einstein_obstructed"] == (3 * r >= 8 * big_g - 12 * s - 12)
             assert row["hitchin_thorpe"] == (r <= 8 * big_g - 4 * s - 4)
+
+
+@pytest.mark.parametrize("s", [0, 1, 3])
+@pytest.mark.parametrize("genera", [(1, 1, 1, 1), (3, 3, 5, 1)])
+def test_example_scan_rows_match_built_manifolds(genera, s):
+    # Each stepped row agrees with the theorem functions evaluated on the
+    # connected sums themselves.
+    g1, g1p, g2, g2p = genera
+    m = connected_sum(surface_product(g1, g1p), surface_product(g2, g2p))
+    spinc = canonical_spinc(m)
+    rows = example_scan(*genera, s=s, r_max=6)["rows"]
+    assert [row["r"] for row in rows] == list(range(7))
+    for row in rows:
+        r = row["r"]
+        n2 = connected_sum(s4(), *[s1xs3()] * s, *[cp2bar()] * r)
+        assert row["einstein_obstructed"] == einstein_nonexistence(m, spinc, n2)
+        assert row["hitchin_thorpe"] == hitchin_thorpe(connected_sum(m, n2))
+
+
+def test_example_scan_at_r_max_bound_matches_closed_form():
+    res = example_scan(3, 3, 3, 3, s=0, r_max=SCAN_R_MAX)
+    rows = res["rows"]
+    assert len(rows) == SCAN_R_MAX + 1 == 100_001
+    big_g = res["G"]
+    for row, r in ((rows[0], 0), (rows[-1], SCAN_R_MAX)):
+        assert row["r"] == r
+        assert row["einstein_obstructed"] == (3 * r >= 8 * big_g - 12)
+        assert row["hitchin_thorpe"] == (r <= 8 * big_g - 4)
 
 
 def test_example_scan_reports_rational_bound_and_window():
