@@ -222,11 +222,14 @@ def _cmd_scan(args) -> dict:
 
 
 def build_parser() -> _Parser:
+    """The top-level parser; ``commands`` maps each command name to its
+    subparser."""
     parser = _Parser(prog="fourfold", description=__doc__)
+    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, expression=True):
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if expression:
             p.add_argument("expression", help="manifold expression, e.g. 'K3 # 2*SP(3,3)'")
@@ -275,8 +278,14 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built on first use, once per process
         _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        if argv and argv[0] in _parser.commands:
+            args = _parser.commands[argv[0]].parse_args(argv[1:])
+        else:
+            # Top-level help and errors (no command, unknown command).
+            args = _parser.parse_args(argv)
         report = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

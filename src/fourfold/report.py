@@ -185,13 +185,17 @@ REPORT_SCHEMA = {
 def to_json(report: dict) -> str:
     """The text of ``json.dumps(report, indent=2)``, written directly:
     with an indent, ``json`` falls back to its pure-Python encoder.
-    Dictionary keys must be strings (a TypeError otherwise)."""
+    A list whose items are all exactly ``int`` is written in one pass
+    over its types and one ``join``; an all-zero one, the common row of
+    the dense spin^c matrices, by string repetition.  Dictionary keys
+    must be strings (a TypeError otherwise)."""
     out: list[str] = []
     _write_json(report, "\n", out)
     return "".join(out)
 
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INT = {int}
 
 
 def _write_json(value, newline: str, out: list[str]) -> None:
@@ -215,8 +219,11 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in value):
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+        if type(value[0]) is int and {*map(type, value)} == _INT:
+            if any(value):
+                out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            else:
+                out.append(f"[{inner}{('0,' + inner) * (len(value) - 1)}0{newline}]")
             return
         out.append("[" + inner)
         for k, item in enumerate(value):

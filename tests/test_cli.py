@@ -287,7 +287,10 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 # Pairs where the second request would show state that the first left in
 # a reused parser: an option given then omitted, an exit through
-# SystemExit, and a flag error raised in the middle of parsing.
+# SystemExit, and a flag error raised in the middle of parsing.  Then
+# the argv lists that the top-level parser still reads (none, an unknown
+# command, an option before the command) next to ones that go straight
+# to a subparser (its own help, an unknown flag, a "--").
 PARSER_REUSE_SEQUENCE = [
     ["analyze", "~CP2", "--c1", "-1", "--json"],
     ["analyze", "~CP2", "--json"],
@@ -297,6 +300,12 @@ PARSER_REUSE_SEQUENCE = [
     ["star", "SP(3,3)"],
     ["genus", "K3 # K3", "--self-int", "2", "--pairing", "x"],
     ["sigma0", "K3 # K3 # SP(3,1)", "--json"],
+    [],
+    ["frobnicate"],
+    ["analyze", "K3", "-h"],
+    ["analyze", "K3", "--bogus"],
+    ["--json", "analyze", "K3"],
+    ["analyze", "--", "K3"],
 ]
 
 
@@ -318,7 +327,7 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
             [sys.executable, "-m", "fourfold.cli", *argv], capture_output=True, text=True, env=env
         )
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 1, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0]
     assert in_process == fresh
 
 

@@ -1,6 +1,7 @@
 """``report.to_json`` writes the same text as ``json.dumps(x, indent=2)``."""
 
 import argparse
+import enum
 import json
 import tempfile
 
@@ -11,6 +12,11 @@ from fourfold.cli import _cmd_analyze
 from fourfold.report import to_json
 
 from test_acceptance import _expression_corpus
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
 
 # Non-ASCII and control characters, next to the full default alphabet.
 TEXT = st.text(st.characters(max_codepoint=0x2FF)) | st.text()
@@ -43,6 +49,19 @@ def test_to_json_edge_values():
         [True, False, None, 0, 1, -1, 2**100, 0.5, -0.0, 1e300, float("nan"),
          float("inf"), float("-inf")],
         {"s": "café ☃ \U0001f600 \x00\x1f\x7f \"\\ /\n\t"},
+        [0],
+        [0, 0],
+        [0] * 300,
+        {"a": {"m": [[0, 0, 0], [0, 0, 0]]}},
+        [0, False],
+        [False, 0],
+        [0, 0.0],
+        [0, None],
+        [0, True],
+        [_Small.ONE, 0],
+        _cmd_analyze(
+            argparse.Namespace(expression="8*SP(1,1) # SP(1,3)", c1=None, json=True)
+        ),
     ):
         assert to_json(value) == json.dumps(value, indent=2)
 
