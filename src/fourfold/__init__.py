@@ -46,7 +46,6 @@ from .manifolds import (
     connected_sum,
     cp2,
     cp2bar,
-    cup_class,
     custom,
     descriptor_of,
     k3,

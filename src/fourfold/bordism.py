@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InapplicableError, UnsupportedFamilyError, ValidationError
-from .lattice import pairing
 from .manifolds import K3, SP, ManifoldData
-from .spinc import SpinCondition, SpinCStructure, moduli_dimension, spin_condition
+from .spinc import SpinCStructure, moduli_dimension, spin_condition
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
@@ -103,19 +102,15 @@ def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> tuple[str, ..
     return tuple(str(summand) for summand in manifold.summands)
 
 
-def certify_family(
-    manifold: ManifoldData, s: SpinCStructure, condition: SpinCondition | None = None
-) -> FamilyCertificate:
+def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
     """Check membership in the covered family (:func:`covered_summands`).
 
     The spin condition must hold and the moduli dimension must be l - 1;
     data that breaks either cannot come from the family and raises
-    :class:`ValidationError`.  ``condition`` is the pair's spin condition
-    if the caller has derived it already.
+    :class:`ValidationError`.
     """
     kinds = covered_summands(manifold, s)
-    if condition is None:
-        condition = spin_condition(manifold, s)
+    condition = spin_condition(manifold, s)
     if not condition.holds:
         raise ValidationError(
             "spin condition fails for a covered-family manifold (index even: "
@@ -132,7 +127,7 @@ def certify_family(
     return FamilyCertificate(
         summand_count=l,
         summand_kinds=kinds,
-        c1_square=pairing(manifold.h2, s.c1, s.c1),
+        c1_square=s.c1_square,
         moduli_dimension=d,
     )
 

@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> dict:
         report["spinc_skipped"] = str(exc)
     else:
         report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
-        report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
+        report["bordism"] = rpt.bordism_summary(m, s)
     report["hitchin_thorpe"] = hitchin_thorpe(m)
     return report
 
@@ -112,7 +112,7 @@ def _cmd_sigma0(args) -> dict:
     report = rpt.base_report("sigma0", _echo(args))
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
-    report["bordism"] = rpt.bordism_summary(m, s, report["spinc"])
+    report["bordism"] = rpt.bordism_summary(m, s)
     if not report["bordism"]["applicable"]:
         raise InapplicableError(report["bordism"]["reason"])
     report["result"] = dict(report["bordism"])
@@ -128,13 +128,12 @@ def _cmd_genus(args) -> dict:
     )
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
-    condition = rpt.spin_condition_of(report["spinc"])
     if args.genus is not None:
         cand = SurfaceCandidate(
             self_intersection=args.self_int, genus=args.genus, pairing=args.pairing
         )
         report["result"] = {
-            "embedding_obstructed": embedding_obstructed(m, s, cand, condition),
+            "embedding_obstructed": embedding_obstructed(m, s, cand),
             "candidate": {
                 "self_intersection": cand.self_intersection,
                 "genus": cand.genus,
@@ -143,7 +142,7 @@ def _cmd_genus(args) -> dict:
         }
     else:
         report["result"] = {
-            "min_genus": min_genus(m, s, args.self_int, args.pairing, condition),
+            "min_genus": min_genus(m, s, args.self_int, args.pairing),
             "self_intersection": args.self_int,
             "pairing": args.pairing,
         }
@@ -157,9 +156,7 @@ def _cmd_yamabe(args) -> dict:
     # Uncovered pairs are refused before the spin^c section checks their data.
     covered_summands(m, s)
     spinc_section = rpt.spinc_summary(m, s, source, args.json)
-    value = yamabe_value(
-        m, s, n1, args.nonneg_scalar, rpt.spin_condition_of(spinc_section)
-    )
+    value = yamabe_value(m, s, n1, args.nonneg_scalar)
     report = rpt.base_report(
         "yamabe", _echo(args, n1=args.n1, nonneg_scalar=args.nonneg_scalar)
     )
@@ -182,7 +179,7 @@ def _cmd_einstein(args) -> dict:
     # Uncovered pairs are refused before the spin^c section checks their data.
     covered_summands(m, s)
     spinc_section = rpt.spinc_summary(m, s, source, args.json)
-    verdict = einstein_nonexistence(m, s, n2, rpt.spin_condition_of(spinc_section))
+    verdict = einstein_nonexistence(m, s, n2)
     report = rpt.base_report("einstein", _echo(args, n2=args.n2))
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = spinc_section

@@ -117,11 +117,12 @@ def diagonal_lattice(entries: Sequence[int]) -> Lattice:
 
 def direct_sum(*lattices: Lattice) -> Lattice:
     """Orthogonal direct sum: each lattice's rows follow the previous ones',
-    shifted by their ranks; the blocks are concatenated, not recomputed."""
+    shifted by their ranks (the first lattice's row tuples are kept as
+    they are); the blocks are concatenated, not recomputed."""
     rows: list[SparseVector] = []
     for lat in lattices:
         off = len(rows)
-        rows.extend(tuple((j + off, x) for j, x in row) for row in lat.rows)
+        rows.extend(tuple((j + off, x) for j, x in row) if off else row for row in lat.rows)
     return Lattice(tuple(rows), tuple(b for lat in lattices for b in lat.blocks))
 
 

@@ -63,8 +63,8 @@ class ManifoldData:
 
     ``cup1`` maps index pairs (i, j) with 0 <= i < j < b1 to the class
     alpha_i cup alpha_j in the H^2 basis, stored sparsely like a row of
-    the form; pairs with zero cup product are omitted.  The full
-    antisymmetric tensor is recovered, densely, via :func:`cup_class`.
+    the form; pairs with zero cup product are omitted, and the pair
+    (j, i) is the negative of (i, j).
     """
 
     b1: int
@@ -104,13 +104,6 @@ def _check_invariants(m: ManifoldData) -> None:
             )
         if not is_characteristic(m.h2, m.canonical_c1):
             raise ValidationError("canonical c1 is not characteristic for the form")
-
-
-def cup_class(m: ManifoldData, i: int, j: int) -> Vector:
-    """alpha_i cup alpha_j as an H^2 vector, for any i, j below b1."""
-    if i < j:
-        return dense(m.cup1.get((i, j), ()), m.h2.rank)
-    return tuple(-x for x in dense(m.cup1.get((j, i), ()), m.h2.rank))
 
 
 # E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes).

@@ -15,7 +15,7 @@ from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
 from .errors import InapplicableError, ValidationError
 from .lattice import inertia, is_negative_definite
 from .manifolds import ManifoldData, cp2bar, connected_sum, s1xs3, s4, surface_product
-from .spinc import SpinCondition, SpinCStructure, canonical_spinc
+from .spinc import SpinCStructure, canonical_spinc
 
 # Largest r_max a scan accepts.  Each row steps the previous one by one
 # ~CP^2 in a few integer additions, so the bound caps the size of the
@@ -74,12 +74,9 @@ class PiRadical:
         return f"{self.coefficient}*sqrt({self.radicand})*pi"
 
 
-def _nontrivial_certificate(
-    manifold: ManifoldData, s: SpinCStructure, condition: SpinCondition | None = None
-) -> FamilyCertificate:
-    """Certify the family once and require a nontrivial bordism class.
-    ``condition`` is passed on to :func:`certify_family`."""
-    certificate = certify_family(manifold, s, condition)
+def _nontrivial_certificate(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
+    """Certify the family once and require a nontrivial bordism class."""
+    certificate = certify_family(manifold, s)
     klass = certificate.bordism_class()
     if klass.value != NONTRIVIAL:
         raise InapplicableError(
@@ -90,20 +87,16 @@ def _nontrivial_certificate(
 
 
 def embedding_obstructed(
-    manifold: ManifoldData,
-    s: SpinCStructure,
-    cand: SurfaceCandidate,
-    condition: SpinCondition | None = None,
+    manifold: ManifoldData, s: SpinCStructure, cand: SurfaceCandidate
 ) -> bool:
     """Adjunction test for an embedded surface of nonnegative
     self-intersection and positive genus.
 
     True means the candidate violates n <= p + 2g - 2 and cannot embed;
     False means the inequality is satisfied (no conclusion about
-    existence).  ``condition``, here and in the other theorem functions,
-    is the pair's spin condition if the caller has derived it already.
+    existence).
     """
-    _nontrivial_certificate(manifold, s, condition)
+    _nontrivial_certificate(manifold, s)
     if cand.genus < 1:
         raise InapplicableError("adjunction bound requires a surface of positive genus")
     if cand.self_intersection < 0:
@@ -113,16 +106,10 @@ def embedding_obstructed(
     return cand.self_intersection > cand.pairing + 2 * cand.genus - 2
 
 
-def min_genus(
-    manifold: ManifoldData,
-    s: SpinCStructure,
-    n: int,
-    p: int,
-    condition: SpinCondition | None = None,
-) -> int:
+def min_genus(manifold: ManifoldData, s: SpinCStructure, n: int, p: int) -> int:
     """Smallest genus g >= 1 compatible with the adjunction bound for
     self-intersection n and pairing p."""
-    _nontrivial_certificate(manifold, s, condition)
+    _nontrivial_certificate(manifold, s)
     if n < 0:
         raise InapplicableError(
             "adjunction bound requires nonnegative self-intersection"
@@ -149,12 +136,7 @@ def _einstein_obstructed(certificate: FamilyCertificate, chi2: int, inert2: Iner
     return 12 * certificate.summand_count - 3 * (2 * chi2 + 3 * tau2) >= certificate.c1_square
 
 
-def einstein_nonexistence(
-    manifold: ManifoldData,
-    s: SpinCStructure,
-    n2: ManifoldData,
-    condition: SpinCondition | None = None,
-) -> bool:
+def einstein_nonexistence(manifold: ManifoldData, s: SpinCStructure, n2: ManifoldData) -> bool:
     """Whether the sum with a negative definite piece admits no Einstein
     metric.
 
@@ -162,16 +144,12 @@ def einstein_nonexistence(
     12*l - 3*(2*chi(N2) + 3*tau(N2)) >= sum of the summands' c1^2,
     evaluated exactly with cleared denominators.
     """
-    certificate = _nontrivial_certificate(manifold, s, condition)
+    certificate = _nontrivial_certificate(manifold, s)
     return _einstein_obstructed(certificate, n2.euler, inertia(n2.h2))
 
 
 def yamabe_value(
-    manifold: ManifoldData,
-    s: SpinCStructure,
-    n1: ManifoldData,
-    n1_admits_nonneg_scalar: bool,
-    condition: SpinCondition | None = None,
+    manifold: ManifoldData, s: SpinCStructure, n1: ManifoldData, n1_admits_nonneg_scalar: bool
 ) -> PiRadical:
     """Yamabe invariant of the sum with N1: -4*pi*sqrt(2 * sum c1^2).
 
@@ -179,7 +157,7 @@ def yamabe_value(
     curvature; the metric hypothesis is not decidable from our data and
     must be asserted by the caller.
     """
-    certificate = _nontrivial_certificate(manifold, s, condition)
+    certificate = _nontrivial_certificate(manifold, s)
     if not is_negative_definite(n1.h2):
         raise InapplicableError("metric hypothesis not certified: N1 is not negative definite")
     if not n1_admits_nonneg_scalar:

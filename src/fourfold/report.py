@@ -18,8 +18,8 @@ from .spinc import (
     SpinCondition,
     SpinCStructure,
     TorusTwoForm,
-    cup_pairing_matrix,
     dirac_index,
+    index_chern_form,
     moduli_dimension,
 )
 
@@ -51,7 +51,7 @@ def manifold_summary(m: ManifoldData) -> dict:
 
 
 def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: bool = False) -> dict:
-    """The spin^c section, derived from one set of cup pairings.
+    """The spin^c section, read off the facts ``s`` carries.
 
     ``matrices`` adds the dense b1 x b1 cup-pairing and index Chern
     matrices of the JSON report; the text report never shows them, so it
@@ -60,13 +60,12 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: boo
     part = index Chern matrix mod 2, h coefficient = Dirac index mod 2,
     e*h coefficient 0.
     """
-    cup = cup_pairing_matrix(m, s)
-    chern = TorusTwoForm.halving(m.b1, cup)
+    chern = index_chern_form(m, s)
     index = dirac_index(m, s)
     condition = SpinCondition.of(index, chern)
     section = {"c1": list(s.c1), "source": source, "dirac_index": index}
     if matrices:
-        section["cup_pairing_matrix"] = [list(r) for r in TorusTwoForm(m.b1, cup).dense()]
+        section["cup_pairing_matrix"] = [list(r) for r in TorusTwoForm(m.b1, s.pairings).dense()]
         section["index_chern_matrix"] = [list(r) for r in chern.dense()]
     section["condition"] = {
         "index_even": condition.index_even,
@@ -83,15 +82,10 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: boo
     return section
 
 
-def spin_condition_of(spinc: dict) -> SpinCondition:
-    """The spin condition recorded in a spin^c section."""
-    return SpinCondition(spinc["condition"]["index_even"], spinc["condition"]["chern_even"])
-
-
-def bordism_summary(m: ManifoldData, s: SpinCStructure, spinc: dict) -> dict:
-    """The bordism section, reusing the spin condition of the spin^c section."""
+def bordism_summary(m: ManifoldData, s: SpinCStructure) -> dict:
+    """The bordism section; an inapplicable verdict records its reason."""
     try:
-        klass = certify_family(m, s, spin_condition_of(spinc)).bordism_class()
+        klass = certify_family(m, s).bordism_class()
     except InapplicableError as exc:
         return {"applicable": False, "reason": str(exc)}
     return {

@@ -11,18 +11,38 @@ structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .errors import IntegralityError, ValidationError
-from .lattice import Vector, as_vector, is_characteristic, pairing, signature
+from .lattice import Vector, _check_length, as_vector, is_characteristic, pairing, signature
 from .manifolds import ManifoldData
 
 
 @dataclass(frozen=True)
 class SpinCStructure:
-    """c1 of the determinant line bundle, in the fixed H^2 basis."""
+    """A spin^c structure on a manifold: c1 of its determinant line bundle,
+    in the fixed H^2 basis, built by :func:`spinc` or
+    :func:`canonical_spinc`.
+
+    The facts of the pair that cannot fail are derived once, on the
+    manifold the structure is built on: ``c1_square`` = c1^2, ``tau``,
+    the signature of the form, and ``pairings``, the nonzero cup pairings
+    of :func:`cup_pairing_matrix`.  Equality and hashing read ``c1``
+    only.  The functions of this module raise :class:`ShapeError` for a
+    structure of another rank than the manifold, as :func:`pairing` does
+    for a vector.
+    """
 
     c1: Vector
+    manifold: InitVar[ManifoldData]
+    c1_square: int = field(init=False, compare=False, repr=False)
+    tau: int = field(init=False, compare=False, repr=False)
+    pairings: dict[tuple[int, int], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, manifold: ManifoldData) -> None:
+        object.__setattr__(self, "c1_square", pairing(manifold.h2, self.c1, self.c1))
+        object.__setattr__(self, "tau", signature(manifold.h2))
+        object.__setattr__(self, "pairings", cup_pairing_matrix(manifold, self))
 
 
 @dataclass(frozen=True)
@@ -90,7 +110,7 @@ def spinc(manifold: ManifoldData, coords) -> SpinCStructure:
         )
     if not is_characteristic(manifold.h2, c1):
         raise ValidationError("c1 is not characteristic for the intersection form")
-    return SpinCStructure(c1)
+    return SpinCStructure(c1, manifold)
 
 
 def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
@@ -98,14 +118,13 @@ def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
         raise ValidationError(
             "manifold carries no canonical spin^c structure; supply c1 explicitly"
         )
-    return SpinCStructure(manifold.canonical_c1)
+    return SpinCStructure(manifold.canonical_c1, manifold)
 
 
 def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
     """Index of the spin^c Dirac operator: (c1^2 - tau) / 8, exact."""
-    square = pairing(manifold.h2, s.c1, s.c1)
-    tau = signature(manifold.h2)
-    num = square - tau
+    _check_length(manifold.h2, s.c1, "x")
+    num = s.c1_square - s.tau
     if num % 8 != 0:
         raise ValidationError(
             f"c1^2 - tau = {num} is not divisible by 8; c1 is not a valid spin^c class"
@@ -119,7 +138,9 @@ def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[
 
     Q c1 is formed once over the rows where c1 is nonzero; each pairing
     is then a dot product with a sparse cup class, so the cost is
-    O(rank + nnz of those rows + len(cup1)) and no b1 x b1 matrix is built."""
+    O(rank + nnz of those rows + len(cup1)) and no b1 x b1 matrix is built.
+    :class:`SpinCStructure` calls it once and keeps the result."""
+    _check_length(manifold.h2, s.c1, "x")
     rows = manifold.h2.rows
     q_c1: dict[int, int] = {}
     for i, c in enumerate(s.c1):
@@ -139,7 +160,8 @@ def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
 
     Entries are half the cup pairings; see :meth:`TorusTwoForm.halving`.
     """
-    return TorusTwoForm.halving(manifold.b1, cup_pairing_matrix(manifold, s))
+    _check_length(manifold.h2, s.c1, "x")
+    return TorusTwoForm.halving(manifold.b1, s.pairings)
 
 
 def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:
@@ -153,9 +175,8 @@ def moduli_dimension(manifold: ManifoldData, s: SpinCStructure) -> int:
     d = (c1^2 - 2*chi - 3*tau) / 4; a non-integer value means the input
     data cannot come from a closed oriented 4-manifold.
     """
-    square = pairing(manifold.h2, s.c1, s.c1)
-    tau = signature(manifold.h2)
-    num = square - 2 * manifold.euler - 3 * tau
+    _check_length(manifold.h2, s.c1, "x")
+    num = s.c1_square - 2 * manifold.euler - 3 * s.tau
     if num % 4 != 0:
         raise ValidationError(
             f"c1^2 - 2*chi - 3*tau = {num} is not divisible by 4; inconsistent input"

@@ -1,13 +1,13 @@
 """Random matrix generators shared by the lattice and property tests, the
-dense oracles that the block-wise lattice invariants are checked
-against, and descriptors with wrongly typed fields."""
+dense oracles that the block-wise lattice invariants and the sparse cup
+classes are checked against, and descriptors with wrongly typed fields."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from fourfold.lattice import Lattice
+from fourfold.lattice import Lattice, dense
 
 
 # (field, value): a valid descriptor with one field replaced by a value of
@@ -200,3 +200,11 @@ def random_descriptor(rng, max_rank=6, max_b1=5):
         "c1": list(solve_characteristic_mod2(lat.form, rng)),
         "label": "random",
     }
+
+
+def cup_class(m, i, j):
+    """alpha_i cup alpha_j of the manifold ``m`` as a dense H^2 vector,
+    for any i, j below b1."""
+    if i < j:
+        return dense(m.cup1.get((i, j), ()), m.h2.rank)
+    return tuple(-x for x in dense(m.cup1.get((j, i), ()), m.h2.rank))

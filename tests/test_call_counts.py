@@ -20,6 +20,7 @@ COUNTED = (
     ("fourfold.bordism", "certify_family"),
     ("fourfold.manifolds", "connected_sum"),
     ("fourfold.lattice", "inertia"),
+    ("fourfold.lattice", "pairing"),
     ("fourfold.spinc", "cup_pairing_matrix"),
 )
 
@@ -77,6 +78,29 @@ def test_request_builds_one_cup_pairing_matrix(calls, capsys, argv):
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
     assert calls["cup_pairing_matrix"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8*SP(3,3)"],
+        ["analyze", "K3 # SP(3,3)"],
+        ["analyze", "SP(2,2) # K3"],
+        ["sigma0", "K3 # K3 # SP(3,1)"],
+        ["sigma0", "2*SP(3,3)"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
+        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
+        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
+    ],
+)
+def test_request_derives_spinc_facts_once(calls, capsys, argv):
+    # c1^2 and the cup pairings are derived when the spin^c structure is
+    # built; the spin^c section, the Dirac index, the moduli dimension and
+    # the family certificate read them from there.
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert (calls["pairing"], calls["cup_pairing_matrix"], calls["certify_family"]) == (1, 1, 1)
 
 
 def test_example_scan_work_independent_of_r_max(calls):

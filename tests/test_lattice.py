@@ -290,6 +290,16 @@ def test_direct_sum_does_not_pad():
     )
 
 
+def test_direct_sum_keeps_first_part_rows():
+    # Only the rows after the first part are shifted; the first part's
+    # row tuples are shared, as a connected sum shares its first piece's
+    # cup classes.
+    a, b = surface_product(3, 3).h2, k3().h2
+    total = direct_sum(a, b)
+    assert all(total.rows[i] is a.rows[i] for i in range(a.rank))
+    assert total.rows[a.rank] is not b.rows[0]
+
+
 def _random_lattice(rng):
     """A generator form, a random form with zeros, or a direct sum of
     random blocks under a random basis permutation."""

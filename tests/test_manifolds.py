@@ -11,7 +11,6 @@ from fourfold.manifolds import (
     connected_sum,
     cp2,
     cp2bar,
-    cup_class,
     custom,
     descriptor_of,
     k3,
@@ -22,7 +21,7 @@ from fourfold.manifolds import (
 )
 from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
-from genforms import WRONG_TYPES, random_descriptor, wrong_type_descriptor
+from genforms import WRONG_TYPES, cup_class, random_descriptor, wrong_type_descriptor
 
 
 def test_k3_profile():

@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 from fourfold.cli import main
-from fourfold.errors import IntegralityError, ValidationError
+from fourfold.errors import IntegralityError, ShapeError, ValidationError
 from fourfold.lattice import pairing
-from fourfold.manifolds import connected_sum, cp2bar, cup_class, custom, k3, surface_product
+from fourfold.manifolds import connected_sum, cp2bar, custom, k3, surface_product
 from fourfold.report import spinc_summary
 from fourfold.spinc import (
     canonical_spinc,
@@ -18,7 +18,7 @@ from fourfold.spinc import (
     spinc,
 )
 
-from genforms import random_descriptor
+from genforms import cup_class, random_descriptor
 
 GENERATOR_POOL = [
     k3,
@@ -85,6 +85,20 @@ def test_spinc_rejects_wrong_length():
 def test_canonical_spinc_missing():
     with pytest.raises(ValidationError, match="canonical"):
         canonical_spinc(cp2bar())
+
+
+def test_structure_of_another_rank_raises_shape_error():
+    other = canonical_spinc(surface_product(1, 1))
+    for fact in (dirac_index, moduli_dimension):
+        with pytest.raises(ShapeError, match="x has length 6, lattice rank is 22"):
+            fact(k3(), other)
+
+
+def test_structure_equality_and_repr_read_c1_only():
+    m = surface_product(3, 1)
+    s = canonical_spinc(m)
+    assert s == spinc(m, m.canonical_c1) and hash(s) == hash(spinc(m, m.canonical_c1))
+    assert repr(s) == f"SpinCStructure(c1={m.canonical_c1!r})"
 
 
 def test_cup_pairing_matrix_empty_for_b1_zero():
