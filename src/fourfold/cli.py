@@ -5,6 +5,11 @@ bad descriptors, inconsistent data), 2 when a theorem's hypotheses are
 not met.  Hypothesis failures are never dressed up as computed results.
 """
 
+# The docstring above is the text of `fourfold --help`.  A request is
+# refused at its first failing stage: the expression, --c1, the spin^c
+# structure, N1/N2, the covered family (sigma0, yamabe, einstein), the
+# spin^c data, and last the theorem (see _pair).
+
 from __future__ import annotations
 
 import argparse
@@ -15,7 +20,7 @@ import sys
 from . import report as rpt
 from .bordism import covered_summands
 from .errors import InapplicableError, ValidationError
-from .expressions import MAX_INTEGER_DIGITS, parse, resolve
+from .expressions import MAX_INTEGER_DIGITS, parse, parse_manifold
 from .manifolds import SP, ManifoldData
 from .obstructions import (
     SurfaceCandidate,
@@ -57,33 +62,52 @@ def _parse_c1(text: str) -> tuple[int, ...]:
         raise ValidationError(f"--c1 must be a comma-separated integer list, got '{text}'") from None
 
 
-def _manifold(expr_text: str) -> ManifoldData:
-    return resolve(parse(expr_text))
-
-
-def _spinc_for(m: ManifoldData, c1_text: str | None) -> tuple[SpinCStructure, str]:
-    if c1_text is not None:
-        return spinc(m, _parse_c1(c1_text)), "explicit"
+def _spinc_for(m: ManifoldData, c1: tuple[int, ...] | None) -> tuple[SpinCStructure, str]:
+    if c1 is not None:
+        return spinc(m, c1), "explicit"
     return canonical_spinc(m), "canonical"
 
 
-def _echo(args, **extra) -> dict:
+def _echo(args, c1: tuple[int, ...] | None, **extra) -> dict:
     echo = dict(extra)
-    if getattr(args, "expression", None) is not None:
-        echo["expression"] = args.expression
-    if getattr(args, "c1", None) is not None:
-        echo["c1"] = list(_parse_c1(args.c1))
+    echo["expression"] = args.expression
+    if c1 is not None:
+        echo["c1"] = list(c1)
     return echo
 
 
+def _pair(args, command: str, other: str | None, covered: bool, **echo):
+    """M, its spin^c structure s, the manifold ``other`` names (N1 or N2,
+    else None) and the report with its base, manifold and spin^c sections.
+
+    A request is refused at the first stage that fails, in this order: the
+    expression, the syntax of ``--c1`` and the spin^c structure (length,
+    characteristic, canonical class), then ``other`` (exit 1 for each);
+    then, when ``covered``, the family (exit 2).  Uncovered pairs are
+    refused before the spin^c section checks their data, such as an odd
+    cup pairing (exit 1).  The command's own theorem comes last.
+    """
+    m = parse_manifold(args.expression)
+    c1 = None if args.c1 is None else _parse_c1(args.c1)
+    s, source = _spinc_for(m, c1)
+    n = None if other is None else parse_manifold(other)
+    if covered:
+        covered_summands(m, s)
+    report = rpt.base_report(command, _echo(args, c1, **echo))
+    report["manifold"] = rpt.manifold_summary(m)
+    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
+    return m, s, n, report
+
+
 def _cmd_analyze(args) -> dict:
-    m = _manifold(args.expression)
-    report = rpt.base_report("analyze", _echo(args))
+    m = parse_manifold(args.expression)
+    c1 = None if args.c1 is None else _parse_c1(args.c1)
+    report = rpt.base_report("analyze", _echo(args, c1))
     report["manifold"] = rpt.manifold_summary(m)
     try:
-        s, source = _spinc_for(m, args.c1)
+        s, source = _spinc_for(m, c1)
     except ValidationError as exc:
-        if args.c1 is not None:
+        if c1 is not None:
             raise
         report["spinc"] = None
         report["spinc_skipped"] = str(exc)
@@ -95,23 +119,13 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_star(args) -> dict:
-    m = _manifold(args.expression)
-    s, source = _spinc_for(m, args.c1)
-    report = rpt.base_report("star", _echo(args))
-    report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
+    _, _, _, report = _pair(args, "star", None, False)
     report["result"] = report["spinc"]["condition"]
     return report
 
 
 def _cmd_sigma0(args) -> dict:
-    m = _manifold(args.expression)
-    s, source = _spinc_for(m, args.c1)
-    # Uncovered pairs are refused before the spin^c section checks their data.
-    covered_summands(m, s)
-    report = rpt.base_report("sigma0", _echo(args))
-    report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
+    m, s, _, report = _pair(args, "sigma0", None, True)
     report["bordism"] = rpt.bordism_summary(m, s)
     if not report["bordism"]["applicable"]:
         raise InapplicableError(report["bordism"]["reason"])
@@ -120,14 +134,8 @@ def _cmd_sigma0(args) -> dict:
 
 
 def _cmd_genus(args) -> dict:
-    m = _manifold(args.expression)
-    s, source = _spinc_for(m, args.c1)
-    report = rpt.base_report(
-        "genus",
-        _echo(args, self_int=args.self_int, pairing=args.pairing, genus=args.genus),
-    )
-    report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
+    m, s, _, report = _pair(args, "genus", None, False, self_int=args.self_int,
+                            pairing=args.pairing, genus=args.genus)
     if args.genus is not None:
         cand = SurfaceCandidate(
             self_intersection=args.self_int, genus=args.genus, pairing=args.pairing
@@ -150,18 +158,10 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_yamabe(args) -> dict:
-    m = _manifold(args.expression)
-    s, source = _spinc_for(m, args.c1)
-    n1 = _manifold(args.n1)
-    # Uncovered pairs are refused before the spin^c section checks their data.
-    covered_summands(m, s)
-    spinc_section = rpt.spinc_summary(m, s, source, args.json)
-    value = yamabe_value(m, s, n1, args.nonneg_scalar)
-    report = rpt.base_report(
-        "yamabe", _echo(args, n1=args.n1, nonneg_scalar=args.nonneg_scalar)
+    m, s, n1, report = _pair(
+        args, "yamabe", args.n1, True, n1=args.n1, nonneg_scalar=args.nonneg_scalar
     )
-    report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = spinc_section
+    value = yamabe_value(m, s, n1, args.nonneg_scalar)
     report["result"] = {
         "coefficient": value.coefficient,
         "radicand": value.radicand,
@@ -173,38 +173,29 @@ def _cmd_yamabe(args) -> dict:
 
 
 def _cmd_einstein(args) -> dict:
-    m = _manifold(args.expression)
-    s, source = _spinc_for(m, args.c1)
-    n2 = _manifold(args.n2)
-    # Uncovered pairs are refused before the spin^c section checks their data.
-    covered_summands(m, s)
-    spinc_section = rpt.spinc_summary(m, s, source, args.json)
-    verdict = einstein_nonexistence(m, s, n2)
-    report = rpt.base_report("einstein", _echo(args, n2=args.n2))
-    report["manifold"] = rpt.manifold_summary(m)
-    report["spinc"] = spinc_section
+    m, s, n2, report = _pair(args, "einstein", args.n2, True, n2=args.n2)
     report["result"] = {
-        "einstein_obstructed": verdict,
+        "einstein_obstructed": einstein_nonexistence(m, s, n2),
         "n2": rpt.manifold_summary(n2),
     }
     return report
 
 
 def _scan_genera(expr_text: str) -> tuple[int, int, int, int]:
-    expr = parse(expr_text)
-    genera = []
-    for term in expr.terms:
+    terms = parse(expr_text).terms
+    for term in terms:
         if term.gen.kind != SP:
             raise ValidationError(
                 "--G-from must be a connected sum of exactly two surface "
                 f"products, got generator '{term.gen}'"
             )
-        genera.extend([term.gen.genera] * term.count)
-    if len(genera) != 2:
+    # Count before expanding: a multiplicity may have 18 digits.
+    total = sum(term.count for term in terms)
+    if total != 2:
         raise ValidationError(
-            f"--G-from must contain exactly two surface products, got {len(genera)}"
+            f"--G-from must contain exactly two surface products, got {total}"
         )
-    (g1, g1p), (g2, g2p) = genera
+    (g1, g1p), (g2, g2p) = [term.gen.genera for term in terms for _ in range(term.count)]
     return g1, g1p, g2, g2p
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ValidationError
 from .lattice import (

@@ -361,3 +361,90 @@ def test_import_does_not_load_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_scan_huge_multiplicity_is_refused_before_expansion(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--G-from", "999999999999999999*SP(3,3)", "--r-max", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: --G-from must contain exactly two surface products, "
+        "got 999999999999999999\n"
+    )
+
+
+_EXTRA = {
+    "star": [],
+    "sigma0": [],
+    "genus": ["--self-int", "2"],
+    "yamabe": ["--n1", "{n}", "--nonneg-scalar"],
+    "einstein": ["--n2", "{n}"],
+}
+
+
+def _request(command, expression, c1, n):
+    argv = [command, expression] + [a.format(n=n) for a in _EXTRA[command]]
+    return argv if c1 is None else argv + [f"--c1={c1}"]
+
+
+@pytest.mark.parametrize("command", ["analyze", *_EXTRA])
+def test_c1_is_parsed_once_per_request(capsys, monkeypatch, command):
+    import fourfold.cli as cli
+    from fourfold.expressions import parse_manifold
+    from fourfold.spinc import canonical_spinc
+
+    parse_c1, calls = cli._parse_c1, []
+
+    def counting(text):
+        calls.append(text)
+        return parse_c1(text)
+
+    monkeypatch.setattr(cli, "_parse_c1", counting)
+    c1 = ",".join(map(str, canonical_spinc(parse_manifold("K3 # K3")).c1))
+    argv = [command, "K3 # K3", f"--c1={c1}"] if command == "analyze" else (
+        _request(command, "K3 # K3", c1, "~CP2")
+    )
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == [c1]
+
+
+_UNCOVERED = "@odd_cup.json # K3"  # a custom summand with an odd cup pairing
+_COVERED_NOT = "not applicable: summand CUSTOM is outside the covered family"
+
+
+@pytest.mark.parametrize(
+    "expression, c1, n, commands, code, message",
+    [
+        # The expression comes before --c1 (and before N1/N2).
+        ("K3 #", "x", "FOO", _EXTRA, 1, "error: expected a generator (at offset 4)"),
+        # The syntax of --c1 comes before N1/N2.
+        ("K3 # K3", "x", "FOO", _EXTRA, 1,
+         "error: --c1 must be a comma-separated integer list, got 'x'"),
+        # The spin^c structure comes before N1/N2.
+        ("K3 # K3", "0", "FOO", _EXTRA, 1, "error: c1 has length 1, form rank is 44"),
+        # N1/N2 come before the covered family.
+        (_UNCOVERED, None, "FOO", ["yamabe", "einstein"], 1,
+         "error: unknown generator 'FOO' (at offset 0)"),
+        # The covered family comes before the spin^c data ...
+        (_UNCOVERED, None, "~CP2", ["sigma0", "yamabe", "einstein"], 2, _COVERED_NOT),
+        # ... which star and genus check without it.
+        (_UNCOVERED, None, "~CP2", ["star", "genus"], 1,
+         "error: cup pairing at (0,1) is odd (1)"),
+    ],
+    ids=["expression", "c1-syntax", "spinc-structure", "n", "family", "spinc-data"],
+)
+def test_refusal_order_with_two_faults(
+    capsys, monkeypatch, tmp_path, expression, c1, n, commands, code, message
+):
+    from test_golden_reports import descriptor_files
+
+    (tmp_path / "odd_cup.json").write_text(descriptor_files()["odd_cup.json"])
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = _request(command, expression, c1, n)
+        got_code, out, err = run_cli(capsys, *argv)
+        assert got_code == code and out == "", (argv, err)
+        assert err.startswith(message) and err.count("\n") == 1, (argv, err)
