@@ -291,6 +291,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except UnicodeEncodeError as exc:
+        # print encodes the whole text before it writes, so stdout is empty.
+        print(f"error: the report cannot be written in the output encoding: {exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

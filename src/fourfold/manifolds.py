@@ -294,6 +294,10 @@ def custom(descriptor: Mapping) -> ManifoldData:
     label = descriptor.get("label")
     if "label" in descriptor and not isinstance(label, str):
         raise ValidationError("label must be a string")
+    try:
+        (label or "").encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError("label must be valid Unicode text, without lone surrogates") from None
     # The Euler number is checked before the cup lengths, as ManifoldData does.
     _check_euler(b1, form.rank, euler)
     cup: dict[tuple[int, int], SparseVector] = {}

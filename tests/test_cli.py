@@ -349,6 +349,37 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_descriptor_label_with_lone_surrogate_is_refused(capsys, tmp_path, json_flag):
+    # JSON's \ud800 escape decodes to a lone surrogate, which no
+    # encoding of the report can write.
+    path = tmp_path / "sur.json"
+    path.write_text('{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "x\\ud800"}')
+    code, out, err = run_cli(capsys, "analyze", f"@{path}", *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: label ")
+
+
+def test_unencodable_text_report_exits_1_without_traceback(tmp_path):
+    # A valid POSIX file name that is not UTF-8 is echoed in the report;
+    # a strict UTF-8 stdout cannot write it.
+    name = os.path.join(os.fsencode(tmp_path), b"\xff.json")
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write('{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "x"}')
+    src = os.path.dirname(os.path.dirname(fourfold.__file__))
+    proc = subprocess.run(
+        [os.fsencode(sys.executable), b"-m", b"fourfold.cli", b"analyze", b"@" + name],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict"),
+    )
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_import_does_not_load_fractions():
     # Every verdict is computed over integers, so the CLI needs no
     # rational arithmetic at import time.
