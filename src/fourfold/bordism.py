@@ -53,7 +53,6 @@ class FamilyCertificate:
     summands' c1^2, since the forms are orthogonal."""
 
     summand_count: int
-    summand_kinds: tuple[str, ...]
     c1_square: int
     moduli_dimension: int
 
@@ -75,8 +74,8 @@ class FamilyCertificate:
         return SpinBordismClass(dimension=d, group=POINT_SPIN_BORDISM.get(d, "?"), value=value)
 
 
-def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> tuple[str, ...]:
-    """Names of the summands of a pair in the covered family.
+def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> None:
+    """Check that a pair lies in the covered family.
 
     Every summand must be a K3 surface or a product of two odd-genus
     surfaces, and the spin^c class must be the concatenation of the
@@ -99,7 +98,6 @@ def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> tuple[str, ..
             "spin^c structure is not the canonical (complex-structure) one "
             "on every summand"
         )
-    return tuple(str(summand) for summand in manifold.summands)
 
 
 def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
@@ -109,7 +107,7 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
     data that breaks either cannot come from the family and raises
     :class:`ValidationError`.
     """
-    kinds = covered_summands(manifold, s)
+    covered_summands(manifold, s)
     condition = spin_condition(manifold, s)
     if not condition.holds:
         raise ValidationError(
@@ -117,7 +115,7 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
             f"{condition.index_even}, index Chern class even: {condition.chern_even}); "
             "inconsistent input"
         )
-    l = len(kinds)
+    l = len(manifold.summands)
     d = moduli_dimension(manifold, s)
     if d != l - 1:
         raise ValidationError(
@@ -126,7 +124,6 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertifica
         )
     return FamilyCertificate(
         summand_count=l,
-        summand_kinds=kinds,
         c1_square=s.c1_square,
         moduli_dimension=d,
     )

@@ -25,7 +25,7 @@ class IntegralityError(ValidationError):
 
 
 class ParseError(ValidationError):
-    """Syntax error in a manifold expression; carries the byte offset."""
+    """Syntax error in a manifold expression; carries the character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")

@@ -42,16 +42,22 @@ CUSTOM = "CUSTOM"
 
 @dataclass(frozen=True)
 class Summand:
-    """Provenance tag for one connected-sum piece."""
+    """One connected-sum piece by name: a generator of :data:`GENERATORS`
+    (``SP`` with its genera) or a ``CUSTOM`` descriptor.  The parser gives
+    a descriptor its ``path`` and it prints as ``@path``; a built one
+    carries its ``label`` instead."""
 
     kind: str
     genera: tuple[int, int] | None = None
     label: str | None = None
+    path: str | None = None
 
     def __str__(self) -> str:
         if self.kind == SP:
             g, gp = self.genera
             return f"SP({g},{gp})"
+        if self.path is not None:
+            return f"@{self.path}"
         if self.kind == CUSTOM and self.label:
             return f"CUSTOM({self.label})"
         return self.kind
@@ -209,6 +215,11 @@ def s1xs3() -> ManifoldData:
 @cache
 def s4() -> ManifoldData:
     return ManifoldData(b1=0, h2=Lattice(()), euler=2, summands=(Summand(S4),))
+
+
+# The generator names of the expression grammar and their builders; the
+# SP builder takes the two genera.
+GENERATORS = {K3: k3, SP: surface_product, CP2: cp2, CP2BAR: cp2bar, S1XS3: s1xs3, S4: s4}
 
 
 def connected_sum(*pieces: ManifoldData) -> ManifoldData:

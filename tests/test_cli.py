@@ -406,6 +406,32 @@ def test_scan_huge_multiplicity_is_refused_before_expansion(capsys):
     )
 
 
+
+def test_scan_names_descriptor_term_by_its_path(capsys):
+    # Only the expression is parsed, so the file need not exist.
+    code, out, err = run_cli(capsys, "scan", "--G-from", "@x.json # SP(3,3)", "--r-max", "5")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: --G-from must be a connected sum of exactly two surface "
+        "products, got generator '@x.json'\n"
+    )
+
+
+@pytest.mark.parametrize("gen, rank", [("K3", 22), ("S4", 0), ("S1xS3", 0), ("SP(3,3)", 38)])
+def test_huge_sum_is_refused_before_expansion(capsys, gen, rank):
+    from fourfold.expressions import MAX_SUM_SIZE
+
+    count = 999999999999999999
+    code, out, err = run_cli(capsys, "analyze", f"{count}*{gen}")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
+        f"is {count * (1 + rank)}, over the budget of {MAX_SUM_SIZE}\n"
+    )
+
+
 _EXTRA = {
     "star": [],
     "sigma0": [],

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fourfold import expressions
 from fourfold.errors import ParseError, ValidationError
 from fourfold.expressions import (
     MAX_INTEGER_DIGITS,
-    GenToken,
     ManifoldExpression,
     Term,
     parse,
@@ -16,10 +16,12 @@ from fourfold.lattice import signature
 from fourfold.manifolds import (
     CP2,
     CP2BAR,
+    CUSTOM,
     K3,
     S1XS3,
     S4,
     SP,
+    Summand,
     connected_sum,
     descriptor_of,
     k3,
@@ -29,13 +31,13 @@ from fourfold.manifolds import (
 
 def test_parse_simple_sum():
     expr = parse("K3 # K3")
-    assert expr == ManifoldExpression((Term(1, GenToken("K3")), Term(1, GenToken("K3"))))
+    assert expr == ManifoldExpression((Term(1, Summand("K3")), Term(1, Summand("K3"))))
 
 
 def test_parse_multiplicity_and_surface_product():
     expr = parse("2*SP(3,3) # 40*~CP2")
-    assert expr.terms[0] == Term(2, GenToken("SP", genera=(3, 3)))
-    assert expr.terms[1] == Term(40, GenToken("~CP2"))
+    assert expr.terms[0] == Term(2, Summand("SP", genera=(3, 3)))
+    assert expr.terms[1] == Term(40, Summand("~CP2"))
 
 
 def test_parse_whitespace_insignificant():
@@ -75,6 +77,14 @@ def test_parse_reports_offsets():
     with pytest.raises(ParseError) as err:
         parse("K3 # K3 # XX7")
     assert err.value.offset == 10
+
+
+def test_parse_offset_counts_characters_not_bytes():
+    text = "K3 #\u00a0T4"  # a no-break space, two bytes in UTF-8
+    with pytest.raises(ParseError, match="unknown generator 'T4'") as err:
+        parse(text)
+    assert err.value.offset == text.index("T") == 5
+    assert len(text[:5].encode("utf-8")) == 6
 
 
 @pytest.mark.parametrize(
@@ -138,6 +148,21 @@ def test_resolve_file_descriptor(tmp_path):
     assert m.summands[1].kind == "CUSTOM"
 
 
+@pytest.mark.parametrize("text", ["K3", "CP2", "~CP2", "S1xS3", "S4", "SP(3,5)"])
+def test_parsed_generator_is_the_built_summand(text):
+    gen = parse(text).terms[0].gen
+    assert gen == parse_manifold(text).summands[0]
+    assert str(gen) == text
+
+
+def test_resolve_budget_counts_pieces_and_rank(monkeypatch):
+    monkeypatch.setattr(expressions, "MAX_SUM_SIZE", 100)
+    # Size 4*(1 + 22) + 3*(1 + 1) + 2*(1 + 0) = 100, at the budget.
+    assert parse_manifold("4*K3 # 3*~CP2 # 2*S4").h2.rank == 4 * 22 + 3
+    with pytest.raises(ValidationError, match="is 101, over the budget of 100"):
+        parse_manifold("4*K3 # 3*~CP2 # 3*S4")
+
+
 def test_resolve_missing_file():
     with pytest.raises(ValidationError, match="cannot read"):
         parse_manifold("@/nonexistent/file.json")
@@ -145,7 +170,7 @@ def test_resolve_missing_file():
 
 def test_parse_file_token_roundtrip():
     expr = parse("@some/file.json # K3")
-    assert expr.terms[0].gen == GenToken("FILE", path="some/file.json")
+    assert expr.terms[0].gen == Summand(CUSTOM, path="some/file.json")
     assert str(expr) == "@some/file.json # K3"
 
 
@@ -154,11 +179,11 @@ PATHS = st.text(st.characters(blacklist_characters="#"), min_size=1).filter(
     lambda p: not any(c.isspace() for c in p)
 )
 GENERATORS = (
-    st.sampled_from([K3, CP2, CP2BAR, S1XS3, S4]).map(GenToken)
+    st.sampled_from([K3, CP2, CP2BAR, S1XS3, S4]).map(Summand)
     | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).map(
-        lambda g: GenToken(SP, genera=g)
+        lambda g: Summand(SP, genera=g)
     )
-    | PATHS.map(lambda p: GenToken("FILE", path=p))
+    | PATHS.map(lambda p: Summand(CUSTOM, path=p))
 )
 EXPRESSIONS = st.lists(
     st.builds(Term, st.integers(1, 10**6), GENERATORS), min_size=1, max_size=6
