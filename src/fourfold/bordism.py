@@ -10,9 +10,8 @@ else is refused with an explicit applicability error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InapplicableError, UnsupportedFamilyError, ValidationError
+from .lattice import _Value
 from .manifolds import K3, SP, ManifoldData
 from .spinc import SpinCStructure, moduli_dimension, spin_condition
 
@@ -33,28 +32,30 @@ POINT_SPIN_BORDISM = {
 }
 
 
-@dataclass(frozen=True)
-class SpinBordismClass:
+class SpinBordismClass(_Value):
     """Value of the moduli-space bordism invariant in the point group."""
 
-    dimension: int
-    group: str
-    value: str
+    __slots__ = _fields = ("dimension", "group", "value")
 
-    def __post_init__(self) -> None:
-        if self.value == NONTRIVIAL and self.group == "0":
+    def __init__(self, dimension: int, group: str, value: str):
+        if value == NONTRIVIAL and group == "0":
             raise ValueError("nontrivial value in the zero group")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class FamilyCertificate(_Value):
     """Witness that (manifold, spin^c) lies in the covered family, with the
     data the theorems read off it.  ``c1_square`` is the sum of the
     summands' c1^2, since the forms are orthogonal."""
 
-    summand_count: int
-    c1_square: int
-    moduli_dimension: int
+    __slots__ = _fields = ("summand_count", "c1_square", "moduli_dimension")
+
+    def __init__(self, summand_count: int, c1_square: int, moduli_dimension: int):
+        object.__setattr__(self, "summand_count", summand_count)
+        object.__setattr__(self, "c1_square", c1_square)
+        object.__setattr__(self, "moduli_dimension", moduli_dimension)
 
     def bordism_class(self) -> SpinBordismClass:
         """Nontrivial for 2 or 3 summands, trivial for 4 or more.

@@ -15,9 +15,8 @@ association.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError, ValidationError
+from .lattice import _Value
 from .manifolds import (
     CUSTOM,
     GENERATORS,
@@ -25,14 +24,17 @@ from .manifolds import (
     ManifoldData,
     Summand,
     connected_sum,
+    generator_rank,
     load_descriptor,
 )
 
 
-@dataclass(frozen=True)
-class Term:
-    count: int
-    gen: Summand
+class Term(_Value):
+    __slots__ = _fields = ("count", "gen")
+
+    def __init__(self, count: int, gen: Summand):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "gen", gen)
 
     def __str__(self) -> str:
         if self.count == 1:
@@ -40,9 +42,11 @@ class Term:
         return f"{self.count}*{self.gen}"
 
 
-@dataclass(frozen=True)
-class ManifoldExpression:
-    terms: tuple[Term, ...]
+class ManifoldExpression(_Value):
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...]):
+        object.__setattr__(self, "terms", terms)
 
     def __str__(self) -> str:
         return " # ".join(str(t) for t in self.terms)
@@ -168,27 +172,35 @@ def _parse_generator(scanner: _Scanner) -> Summand:
 MAX_SUM_SIZE = 1_000_000
 
 
-def resolve(expr: ManifoldExpression) -> ManifoldData:
-    """Build each term's piece once, check the size of the sum against
-    :data:`MAX_SUM_SIZE`, then take the connected sum of all the pieces in
-    one call, left to right."""
-    built = []
-    for term in expr.terms:
-        gen = term.gen
-        if gen.kind == CUSTOM:
-            piece = load_descriptor(gen.path)
-        else:
-            piece = GENERATORS[gen.kind](*(gen.genera or ()))
-        built.append((term.count, piece))
-    size = sum(count * (1 + piece.h2.rank) for count, piece in built)
+def check_sum_size(size: int) -> None:
+    """Refuse a sum whose size, the sum of count*(1 + rank(H2)) over its
+    terms, exceeds :data:`MAX_SUM_SIZE`."""
     if size > MAX_SUM_SIZE:
         raise ValidationError(
             f"connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
             f"is {size}, over the budget of {MAX_SUM_SIZE}"
         )
+
+
+def resolve(expr: ManifoldExpression) -> ManifoldData:
+    """Size each term in closed form (:func:`generator_rank`; only a
+    descriptor is loaded for it), check the size of the sum with
+    :func:`check_sum_size`, then build each generator once and take the
+    connected sum of all the pieces in one call, left to right."""
+    sized = []
+    for term in expr.terms:
+        gen = term.gen
+        if gen.kind == CUSTOM:
+            piece = load_descriptor(gen.path)
+            sized.append((term, piece, piece.h2.rank))
+        else:
+            sized.append((term, None, generator_rank(gen)))
+    check_sum_size(sum(term.count * (1 + rank) for term, _, rank in sized))
     pieces = []
-    for count, piece in built:
-        pieces += [piece] * count
+    for term, piece, _ in sized:
+        if piece is None:
+            piece = GENERATORS[term.gen.kind](*(term.gen.genera or ()))
+        pieces += [piece] * term.count
     if not pieces:
         raise ValidationError("empty manifold expression")
     return connected_sum(*pieces)

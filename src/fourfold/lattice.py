@@ -8,10 +8,10 @@ inertia and its determinant.  No floating point touches any verdict path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import prod
-from typing import Mapping, Sequence
+from operator import attrgetter
 
 from .errors import ShapeError, ValidationError
 
@@ -22,8 +22,58 @@ SparseVector = tuple[tuple[int, int], ...]
 Block = tuple[SparseVector, ...]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass keeps its fields in ``__slots__``, sets each once in its
+    constructor with ``object.__setattr__``, and names in ``_fields`` the
+    ones that count: equality, hashing and repr read those, and a value
+    never equals one of another class.  Assigning or deleting an
+    attribute raises :class:`AttributeError`; :meth:`_trusted` builds a
+    value from all its fields without the constructor's work, and
+    pickling and copying go through it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # ``cls._key(value)`` reads the _fields in one C call: a tuple of
+        # them, or the field itself when there is one.
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in ``__slots__`` order, unchecked:
+        for a caller whose construction keeps every invariant."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
+
+    def __reduce__(self):
+        return self._trusted, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class Lattice(_Value):
     """Finitely generated free abelian group with a symmetric integer form.
 
     ``rows[i]`` lists the nonzero entries of row i of the Gram matrix as
@@ -37,12 +87,12 @@ class Lattice:
     :func:`direct_sum`, and left out of equality and hashing.
     """
 
-    rows: tuple[SparseVector, ...]
-    blocks: tuple[Block, ...] = field(default=None, compare=False, repr=False)
+    __slots__ = ("rows", "blocks")
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", _components(self.rows))
+    def __init__(self, rows: tuple[SparseVector, ...], blocks: tuple[Block, ...] | None = None):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "blocks", _components(rows) if blocks is None else blocks)
 
     @property
     def rank(self) -> int:

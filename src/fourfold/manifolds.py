@@ -12,16 +12,15 @@ factors through the free parts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cache, lru_cache
-from typing import Mapping
 
 from .errors import ValidationError
 from .lattice import (
     Lattice,
     SparseVector,
     Vector,
+    _Value,
     as_vector,
     dense,
     diagonal_lattice,
@@ -40,17 +39,25 @@ S4 = "S4"
 CUSTOM = "CUSTOM"
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(_Value):
     """One connected-sum piece by name: a generator of :data:`GENERATORS`
     (``SP`` with its genera) or a ``CUSTOM`` descriptor.  The parser gives
     a descriptor its ``path`` and it prints as ``@path``; a built one
     carries its ``label`` instead."""
 
-    kind: str
-    genera: tuple[int, int] | None = None
-    label: str | None = None
-    path: str | None = None
+    __slots__ = _fields = ("kind", "genera", "label", "path")
+
+    def __init__(
+        self,
+        kind: str,
+        genera: tuple[int, int] | None = None,
+        label: str | None = None,
+        path: str | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "path", path)
 
     def __str__(self) -> str:
         if self.kind == SP:
@@ -63,24 +70,33 @@ class Summand:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(_Value):
     """Algebraic-topological profile of a closed oriented 4-manifold.
 
     ``cup1`` maps index pairs (i, j) with 0 <= i < j < b1 to the class
     alpha_i cup alpha_j in the H^2 basis, stored sparsely like a row of
     the form; pairs with zero cup product are omitted, and the pair
-    (j, i) is the negative of (i, j).
+    (j, i) is the negative of (i, j).  The constructor checks every
+    invariant.
     """
 
-    b1: int
-    h2: Lattice
-    cup1: dict[tuple[int, int], SparseVector] = field(default_factory=dict)
-    euler: int = 0
-    summands: tuple[Summand, ...] = ()
-    canonical_c1: Vector | None = None
+    __slots__ = _fields = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        b1: int,
+        h2: Lattice,
+        cup1: dict[tuple[int, int], SparseVector] | None = None,
+        euler: int = 0,
+        summands: tuple[Summand, ...] = (),
+        canonical_c1: Vector | None = None,
+    ):
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "cup1", {} if cup1 is None else cup1)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "canonical_c1", canonical_c1)
         _check_invariants(self)
 
 
@@ -156,10 +172,8 @@ def surface_product(g: int, gp: int) -> ManifoldData:
     The canonical complex-structure spin^c class is
     2(1-g) alpha + 2(1-gp) alpha'.
     """
-    if g < 1 or gp < 1:
-        raise ValidationError(f"genus must be positive, got ({g},{gp})")
+    rank = surface_product_rank(g, gp)
     n1, n2 = 2 * g, 2 * gp
-    rank = 2 + n1 * n2
 
     def mix(i: int, j: int) -> int:
         return 2 + i * n2 + j
@@ -221,6 +235,24 @@ def s4() -> ManifoldData:
 # SP builder takes the two genera.
 GENERATORS = {K3: k3, SP: surface_product, CP2: cp2, CP2BAR: cp2bar, S1XS3: s1xs3, S4: s4}
 
+_RANKS = {K3: 22, CP2: 1, CP2BAR: 1, S1XS3: 0, S4: 0}
+
+
+def surface_product_rank(g: int, gp: int) -> int:
+    """rank H^2 of :func:`surface_product`, 2 + 4*g*gp, without building
+    it; genera it would refuse are refused with the same error."""
+    if g < 1 or gp < 1:
+        raise ValidationError(f"genus must be positive, got ({g},{gp})")
+    return 2 + 4 * g * gp
+
+
+def generator_rank(summand: Summand) -> int:
+    """rank H^2 of the generator a summand names, in closed form, so that
+    a size budget can be checked before the generator is built."""
+    if summand.kind == SP:
+        return surface_product_rank(*summand.genera)
+    return _RANKS[summand.kind]
+
 
 def connected_sum(*pieces: ManifoldData) -> ManifoldData:
     """Connected sum of the pieces in order: forms add orthogonally, cross
@@ -242,17 +274,14 @@ def connected_sum(*pieces: ManifoldData) -> ManifoldData:
     c1 = None
     if all(m.canonical_c1 is not None for m in pieces):
         c1 = tuple(x for m in pieces for x in m.canonical_c1)
-    # Bypasses __init__, so __post_init__'s whole-sum checks do not run.
-    total = object.__new__(ManifoldData)
-    vars(total).update(
-        b1=b1,
-        h2=direct_sum(*(m.h2 for m in pieces)),
-        cup1=cup,
-        euler=sum(m.euler for m in pieces) - 2 * (len(pieces) - 1),
-        summands=tuple(s for m in pieces for s in m.summands),
-        canonical_c1=c1,
+    return ManifoldData._trusted(
+        b1,
+        direct_sum(*(m.h2 for m in pieces)),
+        cup,
+        sum(m.euler for m in pieces) - 2 * (len(pieces) - 1),
+        tuple(s for m in pieces for s in m.summands),
+        c1,
     )
-    return total
 
 
 _DESCRIPTOR_FIELDS = {"b1", "form", "cup1", "euler", "c1", "label"}
@@ -329,6 +358,8 @@ def custom(descriptor: Mapping) -> ManifoldData:
 
 
 def load_descriptor(path: str) -> ManifoldData:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             descriptor = json.load(fh)

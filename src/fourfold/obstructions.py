@@ -9,12 +9,20 @@ inequalities of the underlying theorems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
 from .errors import InapplicableError, ValidationError
-from .lattice import inertia, is_negative_definite
-from .manifolds import ManifoldData, cp2bar, connected_sum, s1xs3, s4, surface_product
+from .expressions import check_sum_size
+from .lattice import _Value, inertia, is_negative_definite
+from .manifolds import (
+    ManifoldData,
+    connected_sum,
+    cp2bar,
+    s1xs3,
+    s4,
+    surface_product,
+    surface_product_rank,
+)
 from .spinc import SpinCStructure, canonical_spinc
 
 # Largest r_max a scan accepts.  Each row steps the previous one by one
@@ -25,22 +33,26 @@ SCAN_R_MAX = 100_000
 Inertia = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SurfaceCandidate:
+class SurfaceCandidate(_Value):
     """A hypothetical embedded surface: self-intersection, genus, and the
     pairing of the spin^c class with its fundamental class."""
 
-    self_intersection: int
-    genus: int
-    pairing: int
+    __slots__ = _fields = ("self_intersection", "genus", "pairing")
+
+    def __init__(self, self_intersection: int, genus: int, pairing: int):
+        object.__setattr__(self, "self_intersection", self_intersection)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "pairing", pairing)
 
 
-@dataclass(frozen=True)
-class PiRadical:
+class PiRadical(_Value):
     """Exact value coefficient * sqrt(radicand) * pi with squarefree radicand."""
 
-    coefficient: int
-    radicand: int
+    __slots__ = _fields = ("coefficient", "radicand")
+
+    def __init__(self, coefficient: int, radicand: int):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "radicand", radicand)
 
     @classmethod
     def of(cls, coefficient: int, radicand: int) -> "PiRadical":
@@ -174,7 +186,9 @@ def example_scan(
     """Scan blow-up counts r for the sum of two odd-genus surface products
     with r copies of reversed CP^2 and s copies of S^1 x S^3.
 
-    The fixed sum M of the two products is certified once.  chi and the
+    The size of the fixed sum M of the two products is checked against
+    :data:`~fourfold.expressions.MAX_SUM_SIZE` before M is built, and M
+    is certified once.  chi and the
     inertia of N2 = S^4 # s S^1xS^3 # r ~CP^2 are added up for r = 0, and
     each further row adds one ~CP^2: chi grows by chi(~CP^2) - 2 (the
     neck of the connected sum) and the inertia by that of ~CP^2.  M # N2
@@ -195,6 +209,7 @@ def example_scan(
     if r_max > SCAN_R_MAX:
         raise ValidationError(f"r_max must be at most {SCAN_R_MAX}, got {r_max}")
 
+    check_sum_size(sum(1 + surface_product_rank(g, gp) for g, gp in ((g1, g1p), (g2, g2p))))
     m = connected_sum(surface_product(g1, g1p), surface_product(g2, g2p))
     certificate = _nontrivial_certificate(m, canonical_spinc(m))
     big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)

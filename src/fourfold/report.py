@@ -8,8 +8,6 @@ same dict, so the two never disagree.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
-
 from .bordism import certify_family
 from .errors import InapplicableError
 from .lattice import determinant, signature
@@ -183,8 +181,10 @@ def to_json(report: dict) -> str:
     over its types and one ``join``; an all-zero one, the common row of
     the dense spin^c matrices, by string repetition.  Dictionary keys
     must be strings (a TypeError otherwise)."""
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
-    _write_json(report, "\n", out)
+    _write_json(report, "\n", out, encode_basestring_ascii)
     return "".join(out)
 
 
@@ -192,11 +192,12 @@ _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _INT = {int}
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
+def _write_json(value, newline: str, out: list[str], quote) -> None:
     """Append the JSON text of ``value``; ``newline`` is a line break plus
-    the indent of the line the value starts on."""
+    the indent of the line the value starts on, and ``quote`` writes a
+    string literal."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(quote(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -223,7 +224,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         for k, item in enumerate(value):
             if k:
                 out.append("," + inner)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, quote)
         out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -232,8 +233,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         head = "{" + inner
         for key, item in value.items():
-            out.append(f"{head}{encode_basestring_ascii(key)}: ")
-            _write_json(item, inner, out)
+            out.append(f"{head}{quote(key)}: ")
+            _write_json(item, inner, out, quote)
             head = "," + inner
         out.append(newline + "}")
     else:

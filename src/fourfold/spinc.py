@@ -11,15 +11,20 @@ structure.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-
 from .errors import IntegralityError, ValidationError
-from .lattice import Vector, _check_length, as_vector, is_characteristic, pairing, signature
+from .lattice import (
+    Vector,
+    _check_length,
+    _Value,
+    as_vector,
+    is_characteristic,
+    pairing,
+    signature,
+)
 from .manifolds import ManifoldData
 
 
-@dataclass(frozen=True)
-class SpinCStructure:
+class SpinCStructure(_Value):
     """A spin^c structure on a manifold: c1 of its determinant line bundle,
     in the fixed H^2 basis, built by :func:`spinc` or
     :func:`canonical_spinc`.
@@ -33,20 +38,17 @@ class SpinCStructure:
     for a vector.
     """
 
-    c1: Vector
-    manifold: InitVar[ManifoldData]
-    c1_square: int = field(init=False, compare=False, repr=False)
-    tau: int = field(init=False, compare=False, repr=False)
-    pairings: dict[tuple[int, int], int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("c1", "c1_square", "tau", "pairings")
+    _fields = ("c1",)
 
-    def __post_init__(self, manifold: ManifoldData) -> None:
-        object.__setattr__(self, "c1_square", pairing(manifold.h2, self.c1, self.c1))
+    def __init__(self, c1: Vector, manifold: ManifoldData):
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c1_square", pairing(manifold.h2, c1, c1))
         object.__setattr__(self, "tau", signature(manifold.h2))
         object.__setattr__(self, "pairings", cup_pairing_matrix(manifold, self))
 
 
-@dataclass(frozen=True)
-class TorusTwoForm:
+class TorusTwoForm(_Value):
     """Integer 2-form on the Jacobian torus, antisymmetric by construction.
 
     ``entries`` maps (i, j) with i < j to the nonzero coefficient of
@@ -54,8 +56,11 @@ class TorusTwoForm:
     entry at (j, i) is its negative and every other entry is zero.
     """
 
-    size: int
-    entries: dict[tuple[int, int], int]
+    __slots__ = _fields = ("size", "entries")
+
+    def __init__(self, size: int, entries: dict[tuple[int, int], int]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def halving(cls, size: int, pairings: dict[tuple[int, int], int]) -> "TorusTwoForm":
@@ -84,12 +89,14 @@ class TorusTwoForm:
         return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class SpinCondition:
+class SpinCondition(_Value):
     """Verdict of the two parity conditions for a spin moduli space."""
 
-    index_even: bool
-    chern_even: bool
+    __slots__ = _fields = ("index_even", "chern_even")
+
+    def __init__(self, index_even: bool, chern_even: bool):
+        object.__setattr__(self, "index_even", index_even)
+        object.__setattr__(self, "chern_even", chern_even)
 
     @classmethod
     def of(cls, index: int, chern: TorusTwoForm) -> "SpinCondition":

@@ -12,8 +12,8 @@ import pytest
 import fourfold
 from fourfold.cli import main
 from fourfold.expressions import parse_manifold
-from fourfold.manifolds import ManifoldData, custom, k3, surface_product
-from fourfold import obstructions
+from fourfold.manifolds import custom, k3, surface_product
+from fourfold import manifolds, obstructions
 from fourfold.obstructions import example_scan
 
 COUNTED = (
@@ -130,13 +130,14 @@ def test_example_scan_evaluates_each_verdict_once_per_row(monkeypatch):
 
 def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):
     validations = Counter()
-    post_init = ManifoldData.__post_init__
+    check = manifolds._check_invariants
 
-    def counting(self):
+    def counting(m):
         validations["ManifoldData"] += 1
-        post_init(self)
+        check(m)
 
-    monkeypatch.setattr(ManifoldData, "__post_init__", counting)
+    # ManifoldData's constructor validates through the module function.
+    monkeypatch.setattr(manifolds, "_check_invariants", counting)
     per_k = {}
     for k in (10, 40):
         surface_product.cache_clear()

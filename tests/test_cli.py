@@ -505,3 +505,102 @@ def test_refusal_order_with_two_faults(
         got_code, out, err = run_cli(capsys, *argv)
         assert got_code == code and out == "", (argv, err)
         assert err.startswith(message) and err.count("\n") == 1, (argv, err)
+
+
+def _run_limited(*argv):
+    """Run the CLI in a subprocess under a 2 GB address-space limit; return
+    its exit code, stdout, stderr and CPU seconds."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(fourfold.__file__))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourfold.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc.returncode, proc.stdout, proc.stderr, cpu_s
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["analyze", "SP(99999999999,1)"], 1 + 2 + 4 * 99999999999),
+        (["scan", "--G-from", "2*SP(100000000000000001,1)", "--r-max", "5"],
+         2 * (1 + 2 + 4 * 100000000000000001)),
+    ],
+    ids=["analyze", "scan"],
+)
+def test_huge_generator_is_refused_before_it_is_built(argv, size):
+    from fourfold.expressions import MAX_SUM_SIZE
+
+    code, out, err, cpu_s = _run_limited(*argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
+        f"is {size}, over the budget of {MAX_SUM_SIZE}\n"
+    )
+    assert cpu_s < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # A genus the builder refuses is refused before the budget.
+        (["analyze", "SP(0,99999999999) # 999999999999999999*K3"],
+         "error: genus must be positive, got (0,99999999999)\n"),
+        (["scan", "--G-from", "2*SP(100000000000000002,1)", "--r-max", "5"],
+         "error: scan genera must be odd and positive, got 100000000000000002\n"),
+        (["scan", "--G-from", "2*SP(100000000000000001,1)", "--r-max", "0"],
+         "error: r_max must be positive, got 0\n"),
+    ],
+)
+def test_generator_budget_comes_after_the_generator_checks(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sigma0"], ["yamabe", "--n1", "~CP2", "--nonneg-scalar"], ["einstein", "--n2", "~CP2"]],
+    ids=["sigma0", "yamabe", "einstein"],
+)
+def test_even_genus_summand_is_outside_the_family(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "K3 # SP(3,2)", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (
+        "not applicable: summand SP(3,2) has even genus; only odd-genus surface "
+        "products are covered\n"
+    )
+
+
+def test_einstein_refuses_a_degenerate_n2(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"b1": 0, "form": [[-1, 0], [0, 0]], "euler": 4}))
+    code, out, err = run_cli(capsys, "einstein", "2*SP(3,3)", "--n2", f"@{path}")
+    assert (code, out, err) == (2, "", "not applicable: N2 is not negative definite\n")
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ({"b1": 0, "form": [[1]], "euler": 3, "cup1": []},
+         "cup1 must be an object mapping 'i,j' to integer lists"),
+        ({"b1": 0, "form": [[1]], "euler": 3, "c1": [1, 1]},
+         "canonical c1 has length 2, expected 1"),
+    ],
+    ids=["cup1-not-an-object", "c1-length"],
+)
+def test_descriptor_refusals(capsys, tmp_path, descriptor, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(descriptor))
+    assert run_cli(capsys, "analyze", f"@{path}") == (1, "", f"error: {message}\n")
+
+
+def test_at_sign_without_a_path_is_refused(capsys):
+    assert run_cli(capsys, "analyze", "@") == (
+        1, "", "error: expected a file path after '@' (at offset 1)\n"
+    )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 from fourfold.errors import ValidationError
 from fourfold.lattice import Lattice, determinant, inertia, pairing, signature, zero_vector
 from fourfold.manifolds import (
+    GENERATORS,
+    SP,
     ManifoldData,
+    Summand,
     connected_sum,
     cp2,
     cp2bar,
     custom,
     descriptor_of,
+    generator_rank,
     k3,
     load_descriptor,
     s1xs3,
@@ -387,3 +393,48 @@ def test_descriptor_round_trip_of_random_sums(pieces):
     # Past inertia's own cache, which equal lattices would share.
     assert inertia.__wrapped__(again.h2) == inertia.__wrapped__(m.h2)
     assert determinant(again.h2) == determinant(m.h2)
+
+
+def test_generator_rank_is_the_built_rank():
+    for name, build in GENERATORS.items():
+        if name != SP:
+            assert generator_rank(Summand(name)) == build().h2.rank, name
+    for g, gp in ((1, 1), (1, 2), (3, 3), (2, 5)):
+        assert generator_rank(Summand(SP, (g, gp))) == surface_product(g, gp).h2.rank
+
+
+def test_generator_rank_refuses_what_the_builder_refuses():
+    with pytest.raises(ValidationError, match=r"genus must be positive, got \(0,1\)"):
+        generator_rank(Summand(SP, (0, 1)))
+
+
+@pytest.mark.parametrize("value", [k3(), Summand(SP, (3, 3)), k3().h2], ids=type)
+def test_values_are_immutable(value):
+    field = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("value", [k3(), connected_sum(k3(), surface_product(3, 1)),
+                                   canonical_spinc(k3())], ids=type)
+def test_values_survive_pickle_and_copy(value):
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(again) is type(value)
+        assert all(getattr(again, f) == getattr(value, f) for f in type(value).__slots__)
+
+
+def test_value_equality_reads_fields_and_class():
+    assert Summand(SP, (3, 3)) == Summand(SP, genera=(3, 3))
+    assert hash(Summand(SP, (3, 3))) == hash(Summand(SP, (3, 3)))
+    assert Summand(SP, (3, 3)) != Summand(SP, (3, 5))
+    assert Summand("K3") != "K3" and Summand("K3") != ("K3", None, None, None)
+    assert repr(Summand(SP, (3, 3))) == "Summand(kind='SP', genera=(3, 3), label=None, path=None)"
+    # The blocks of a lattice are derived from its rows and do not count.
+    h2 = k3().h2
+    again = Lattice(h2.rows, ())
+    assert again == h2 and hash(again) == hash(h2) and repr(again) == repr(h2)
