@@ -20,6 +20,7 @@ from .lattice import _Value
 from .manifolds import (
     CUSTOM,
     GENERATORS,
+    MAX_INTEGER_DIGITS,
     SP,
     ManifoldData,
     Summand,
@@ -50,11 +51,6 @@ class ManifoldExpression(_Value):
 
     def __str__(self) -> str:
         return " # ".join(str(t) for t in self.terms)
-
-
-# Longer integer literals name manifolds far beyond anything that can be
-# built, and the cap keeps int() well inside CPython's digit limit.
-MAX_INTEGER_DIGITS = 18
 
 
 def _is_digit(ch: str) -> bool:

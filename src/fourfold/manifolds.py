@@ -12,6 +12,7 @@ factors through the free parts.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from functools import cache, lru_cache
 
@@ -23,6 +24,7 @@ from .lattice import (
     _Value,
     as_vector,
     dense,
+    determinant,
     diagonal_lattice,
     direct_sum,
     is_characteristic,
@@ -37,6 +39,10 @@ CP2BAR = "~CP2"
 S1XS3 = "S1xS3"
 S4 = "S4"
 CUSTOM = "CUSTOM"
+
+# Longer integers in an expression or a descriptor name manifolds far beyond
+# anything that can be built; the cap keeps int() and str() in CPython's limit.
+MAX_INTEGER_DIGITS = 18
 
 
 class Summand(_Value):
@@ -76,8 +82,9 @@ class ManifoldData(_Value):
     ``cup1`` maps index pairs (i, j) with 0 <= i < j < b1 to the class
     alpha_i cup alpha_j in the H^2 basis, stored sparsely like a row of
     the form; pairs with zero cup product are omitted, and the pair
-    (j, i) is the negative of (i, j).  The constructor checks every
-    invariant.
+    (j, i) is the negative of (i, j).  The constructor checks nothing:
+    :func:`custom` checks outside data, and the package's builders keep
+    every invariant.
     """
 
     __slots__ = _fields = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1")
@@ -97,35 +104,6 @@ class ManifoldData(_Value):
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "canonical_c1", canonical_c1)
-        _check_invariants(self)
-
-
-def _check_euler(b1: int, rank: int, euler: int) -> None:
-    if b1 < 0:
-        raise ValidationError("b1 must be nonnegative")
-    if euler != 2 - 2 * b1 + rank:
-        raise ValidationError(
-            f"euler number {euler} violates chi = 2 - 2*b1 + rank(H2) = {2 - 2 * b1 + rank}"
-        )
-
-
-def _check_invariants(m: ManifoldData) -> None:
-    rank = m.h2.rank
-    _check_euler(m.b1, rank, m.euler)
-    for (i, j), v in m.cup1.items():
-        if not (0 <= i < j < m.b1):
-            raise ValidationError(f"cup1 index pair ({i},{j}) out of range for b1={m.b1}")
-        if not all(0 <= k < rank for k, _ in v):
-            raise ValidationError(
-                f"cup1 class at ({i},{j}) has an index out of range for rank {rank}"
-            )
-    if m.canonical_c1 is not None:
-        if len(m.canonical_c1) != rank:
-            raise ValidationError(
-                f"canonical c1 has length {len(m.canonical_c1)}, expected {rank}"
-            )
-        if not is_characteristic(m.h2, m.canonical_c1):
-            raise ValidationError("canonical c1 is not characteristic for the form")
 
 
 # E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes).
@@ -286,18 +264,26 @@ def connected_sum(*pieces: ManifoldData) -> ManifoldData:
 
 _DESCRIPTOR_FIELDS = {"b1", "form", "cup1", "euler", "c1", "label"}
 
+_INTEGER_BOUND = 10**MAX_INTEGER_DIGITS
+_INDEX = rf"[1-9][0-9]{{0,{MAX_INTEGER_DIGITS - 1}}}"
+# A cup1 key has one spelling: ASCII digits with no sign, space,
+# underscore or leading zero, so that no two keys name the same pair.
+_CUP_KEY = re.compile(rf"({_INDEX}),({_INDEX})")
+
 
 def custom(descriptor: Mapping) -> ManifoldData:
-    """Build a validated ManifoldData from a JSON-style descriptor.
+    """Build a validated ManifoldData from a JSON-style descriptor: the one
+    gate for manifold data from outside the package.
 
     Expected shape::
 
         {"b1": int, "form": [[int]], "cup1": {"i,j": [int, ...]},
          "euler": int, "c1": [int, ...] | null, "label": str}
 
-    cup1 keys are 1-based pairs "i,j" with i < j <= b1; omitted pairs are
-    zero.  Every structural invariant is checked and the error names the
-    invariant that failed.
+    cup1 keys are 1-based pairs "i,j" with i < j <= b1, spelled as
+    ``_CUP_KEY`` requires; omitted pairs are zero.  Every invariant is
+    checked once, the last being Poincare duality (|det Q| = 1), and the
+    error names the invariant that failed.
     """
     unknown = set(descriptor) - _DESCRIPTOR_FIELDS
     if unknown:
@@ -318,11 +304,10 @@ def custom(descriptor: Mapping) -> ManifoldData:
         raise ValidationError("cup1 must be an object mapping 'i,j' to integer lists")
     dense_cup: dict[tuple[int, int], Vector] = {}
     for key, value in (cup1 or {}).items():
-        try:
-            i_str, j_str = key.split(",")
-            i, j = int(i_str), int(j_str)
-        except ValueError:
-            raise ValidationError(f"cup1 key '{key}' is not of the form 'i,j'") from None
+        match = _CUP_KEY.fullmatch(key)
+        if match is None:
+            raise ValidationError(f"cup1 key '{key}' is not of the form 'i,j'")
+        i, j = int(match[1]), int(match[2])
         if not (1 <= i < j <= b1):
             raise ValidationError(f"cup1 key '{key}' out of range: need 1 <= i < j <= b1={b1}")
         vec = as_vector(value, f"cup1 class '{key}'")
@@ -338,15 +323,38 @@ def custom(descriptor: Mapping) -> ManifoldData:
         (label or "").encode("utf-8")
     except UnicodeEncodeError:
         raise ValidationError("label must be valid Unicode text, without lone surrogates") from None
-    # The Euler number is checked before the cup lengths, as ManifoldData does.
-    _check_euler(b1, form.rank, euler)
+    for name, vectors in (
+        ("b1", [(b1,)]), ("euler", [(euler,)]), ("form", descriptor["form"]),
+        ("cup1", dense_cup.values()), ("c1", [c1] if c1 else []),
+    ):
+        if max((max(max(v), -min(v)) for v in vectors), default=0) >= _INTEGER_BOUND:
+            raise ValidationError(f"{name} has an integer of more than {MAX_INTEGER_DIGITS} digits")
+    # The Euler relation is checked before the cup lengths.
+    rank = form.rank
+    if euler != 2 - 2 * b1 + rank:
+        raise ValidationError(
+            f"euler number {euler} violates chi = 2 - 2*b1 + rank(H2) = {2 - 2 * b1 + rank}"
+        )
     cup: dict[tuple[int, int], SparseVector] = {}
     for (i, j), vec in dense_cup.items():
-        if len(vec) != form.rank:
+        if len(vec) != rank:
             raise ValidationError(
-                f"cup1 class at ({i},{j}) has length {len(vec)}, expected {form.rank}"
+                f"cup1 class at ({i},{j}) has length {len(vec)}, expected {rank}"
             )
         cup[(i, j)] = sparse(vec)
+    if c1 is not None:
+        if len(c1) != rank:
+            raise ValidationError(f"canonical c1 has length {len(c1)}, expected {rank}")
+        if not is_characteristic(form, c1):
+            raise ValidationError("canonical c1 is not characteristic for the form")
+    det = determinant(form)
+    if abs(det) != 1:
+        # A long determinant is not printed: str() refuses past 4300 digits.
+        shown = det if abs(det) < _INTEGER_BOUND else f"over {MAX_INTEGER_DIGITS} digits long"
+        raise ValidationError(
+            f"form determinant is {shown}, but Poincare duality makes the intersection "
+            "form of a closed oriented 4-manifold unimodular (|det| = 1)"
+        )
     return ManifoldData(
         b1=b1,
         h2=form,

@@ -13,7 +13,7 @@ import math
 from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
 from .errors import InapplicableError, ValidationError
 from .expressions import check_sum_size
-from .lattice import _Value, inertia, is_negative_definite
+from .lattice import _Value, inertia, is_negative_definite, signature
 from .manifolds import (
     ManifoldData,
     connected_sum,
@@ -29,9 +29,6 @@ from .spinc import SpinCStructure, canonical_spinc
 # ~CP^2 in a few integer additions, so the bound caps the size of the
 # table, not the work per row.
 SCAN_R_MAX = 100_000
-
-Inertia = tuple[int, int, int]
-
 
 class SurfaceCandidate(_Value):
     """A hypothetical embedded surface: self-intersection, genus, and the
@@ -129,22 +126,22 @@ def min_genus(manifold: ManifoldData, s: SpinCStructure, n: int, p: int) -> int:
     return max(1, -(-(n - p + 2) // 2))
 
 
-def _hitchin_thorpe(chi: int, inert: Inertia) -> bool:
-    pos, neg, _ = inert
-    return 3 * abs(pos - neg) <= 2 * chi
+def _hitchin_thorpe(chi: int, tau: int) -> bool:
+    return 3 * abs(tau) <= 2 * chi
 
 
 def hitchin_thorpe(x: ManifoldData) -> bool:
     """3|tau| <= 2*chi, the topological necessary condition for an
     Einstein metric."""
-    return _hitchin_thorpe(x.euler, inertia(x.h2))
+    return _hitchin_thorpe(x.euler, signature(x.h2))
 
 
-def _einstein_obstructed(certificate: FamilyCertificate, chi2: int, inert2: Inertia) -> bool:
-    pos, neg, zero = inert2
-    if pos or zero:
+def _einstein_obstructed(
+    certificate: FamilyCertificate, chi2: int, pos2: int, tau2: int
+) -> bool:
+    # The form is unimodular, so no positive direction means definite.
+    if pos2:
         raise InapplicableError("N2 is not negative definite")
-    tau2 = pos - neg
     return 12 * certificate.summand_count - 3 * (2 * chi2 + 3 * tau2) >= certificate.c1_square
 
 
@@ -157,7 +154,8 @@ def einstein_nonexistence(manifold: ManifoldData, s: SpinCStructure, n2: Manifol
     evaluated exactly with cleared denominators.
     """
     certificate = _nontrivial_certificate(manifold, s)
-    return _einstein_obstructed(certificate, n2.euler, inertia(n2.h2))
+    pos, neg, _ = inertia(n2.h2)
+    return _einstein_obstructed(certificate, n2.euler, pos, pos - neg)
 
 
 def yamabe_value(
@@ -188,12 +186,11 @@ def example_scan(
 
     The size of the fixed sum M of the two products is checked against
     :data:`~fourfold.expressions.MAX_SUM_SIZE` before M is built, and M
-    is certified once.  chi and the
-    inertia of N2 = S^4 # s S^1xS^3 # r ~CP^2 are added up for r = 0, and
-    each further row adds one ~CP^2: chi grows by chi(~CP^2) - 2 (the
-    neck of the connected sum) and the inertia by that of ~CP^2.  M # N2
-    has chi(M) + chi(N2) - 2 and the sum of the two inertias.  Every row's
-    Einstein-nonexistence and Hitchin-Thorpe verdicts are evaluated with
+    is certified once.  chi, b+ and tau of N2 = S^4 # s S^1xS^3 # r ~CP^2
+    are added up for r = 0, and each further row adds one ~CP^2: chi grows
+    by chi(~CP^2) - 2 (the neck of the connected sum), b+ and tau by those
+    of ~CP^2.  M # N2 has chi(M) + chi(N2) - 2 and tau(M) + tau(N2).  Every
+    row's Einstein-nonexistence and Hitchin-Thorpe verdicts are evaluated with
     the same formulas as :func:`einstein_nonexistence` and
     :func:`hitchin_thorpe`.  The returned table also carries the
     closed-form window: the exact lower bound (8/3)G - 4s - 4 as a reduced
@@ -214,32 +211,29 @@ def example_scan(
     certificate = _nontrivial_certificate(m, canonical_spinc(m))
     big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)
 
-    (chi_m, inert_m), (chi_s4, inert_s4), (chi_h, inert_h), (chi_b, inert_b) = (
-        (x.euler, inertia(x.h2)) for x in (m, s4(), s1xs3(), cp2bar())
+    def profile(x: ManifoldData) -> tuple[int, int, int]:
+        pos, neg, _ = inertia(x.h2)
+        return x.euler, pos, pos - neg
+
+    (chi_m, _, tau_m), (chi_s4, pos_s4, tau_s4), (chi_h, pos_h, tau_h), (chi_b, pos_b, tau_b) = map(
+        profile, (m, s4(), s1xs3(), cp2bar())
     )
     # N2 at r = 0 is S^4 # s S^1xS^3; every connected sum loses 2 from chi.
     chi2 = chi_s4 + s * (chi_h - 2)
-    pos2, neg2, zero2 = (a + s * b for a, b in zip(inert_s4, inert_h))
-    pos_m, neg_m, zero_m = inert_m
-    step_chi = chi_b - 2
-    step_pos, step_neg, step_zero = inert_b
+    pos2 = pos_s4 + s * pos_h
+    tau2 = tau_s4 + s * tau_h
     rows = []
     for r in range(r_max + 1):
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": _einstein_obstructed(
-                    certificate, chi2, (pos2, neg2, zero2)
-                ),
-                "hitchin_thorpe": _hitchin_thorpe(
-                    chi_m + chi2 - 2, (pos_m + pos2, neg_m + neg2, zero_m + zero2)
-                ),
+                "einstein_obstructed": _einstein_obstructed(certificate, chi2, pos2, tau2),
+                "hitchin_thorpe": _hitchin_thorpe(chi_m + chi2 - 2, tau_m + tau2),
             }
         )
-        chi2 += step_chi
-        pos2 += step_pos
-        neg2 += step_neg
-        zero2 += step_zero
+        chi2 += chi_b - 2
+        pos2 += pos_b
+        tau2 += tau_b
 
     # The exact bound (8/3)G - 4s - 4 = num/3 in lowest terms: gcd(num, 3)
     # is 1 or 3.

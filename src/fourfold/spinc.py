@@ -129,14 +129,12 @@ def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
 
 
 def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
-    """Index of the spin^c Dirac operator: (c1^2 - tau) / 8, exact."""
+    """Index of the spin^c Dirac operator: (c1^2 - tau) / 8.
+
+    The division is exact: the form is unimodular, and a characteristic
+    c1 of a unimodular form has c1^2 = tau mod 8 (van der Blij)."""
     _check_length(manifold.h2, s.c1, "x")
-    num = s.c1_square - s.tau
-    if num % 8 != 0:
-        raise ValidationError(
-            f"c1^2 - tau = {num} is not divisible by 8; c1 is not a valid spin^c class"
-        )
-    return num // 8
+    return (s.c1_square - s.tau) // 8
 
 
 def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[int, int], int]:
@@ -177,15 +175,11 @@ def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:
 
 
 def moduli_dimension(manifold: ManifoldData, s: SpinCStructure) -> int:
-    """Expected dimension of the monopole moduli space.
+    """Expected dimension of the monopole moduli space,
+    d = (c1^2 - 2*chi - 3*tau) / 4.
 
-    d = (c1^2 - 2*chi - 3*tau) / 4; a non-integer value means the input
-    data cannot come from a closed oriented 4-manifold.
+    The division is exact: c1^2 - tau is divisible by 8 (see
+    :func:`dirac_index`), and chi + tau = 2 - 2*b1 + 2*b+ is even.
     """
     _check_length(manifold.h2, s.c1, "x")
-    num = s.c1_square - 2 * manifold.euler - 3 * s.tau
-    if num % 4 != 0:
-        raise ValidationError(
-            f"c1^2 - 2*chi - 3*tau = {num} is not divisible by 4; inconsistent input"
-        )
-    return num // 4
+    return (s.c1_square - 2 * manifold.euler - 3 * s.tau) // 4

@@ -129,24 +129,23 @@ def test_example_scan_evaluates_each_verdict_once_per_row(monkeypatch):
 
 
 def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):
-    validations = Counter()
-    check = manifolds._check_invariants
+    constructed = Counter()
+    init = manifolds.ManifoldData.__init__
 
-    def counting(m):
-        validations["ManifoldData"] += 1
-        check(m)
+    def counting(self, *args, **kwargs):
+        constructed["ManifoldData"] += 1
+        init(self, *args, **kwargs)
 
-    # ManifoldData's constructor validates through the module function.
-    monkeypatch.setattr(manifolds, "_check_invariants", counting)
+    monkeypatch.setattr(manifolds.ManifoldData, "__init__", counting)
     per_k = {}
     for k in (10, 40):
         surface_product.cache_clear()
         calls.clear()
-        validations.clear()
+        constructed.clear()
         parse_manifold(f"{k}*SP(3,3)")
-        per_k[k] = (calls["connected_sum"], validations["ManifoldData"])
-    # One connected sum, and only the one SP(3,3) it is built from is
-    # validated: a sum of validated pieces is valid by construction.
+        per_k[k] = (calls["connected_sum"], constructed["ManifoldData"])
+    # One connected sum, and only the one SP(3,3) it is built from goes
+    # through the constructor: the sum is assembled with ``_trusted``.
     assert per_k[10] == per_k[40] == (1, 1)
 
 

@@ -577,11 +577,18 @@ def test_even_genus_summand_is_outside_the_family(capsys, argv):
     )
 
 
+_NOT_UNIMODULAR = (
+    "but Poincare duality makes the intersection form of a closed oriented 4-manifold "
+    "unimodular (|det| = 1)"
+)
+
+
 def test_einstein_refuses_a_degenerate_n2(capsys, tmp_path):
+    # A degenerate form is refused when the descriptor is read.
     path = tmp_path / "d.json"
     path.write_text(json.dumps({"b1": 0, "form": [[-1, 0], [0, 0]], "euler": 4}))
     code, out, err = run_cli(capsys, "einstein", "2*SP(3,3)", "--n2", f"@{path}")
-    assert (code, out, err) == (2, "", "not applicable: N2 is not negative definite\n")
+    assert (code, out, err) == (1, "", f"error: form determinant is 0, {_NOT_UNIMODULAR}\n")
 
 
 @pytest.mark.parametrize(
@@ -591,13 +598,22 @@ def test_einstein_refuses_a_degenerate_n2(capsys, tmp_path):
          "cup1 must be an object mapping 'i,j' to integer lists"),
         ({"b1": 0, "form": [[1]], "euler": 3, "c1": [1, 1]},
          "canonical c1 has length 2, expected 1"),
+        ({"b1": 0, "form": [[2]], "euler": 3, "c1": [0]},
+         f"form determinant is 2, {_NOT_UNIMODULAR}"),
+        # Each of these used to end in a ValueError traceback past CPython's
+        # 4300-digit limit for str(), from c1^2 and from det(Q).
+        ({"b1": 0, "form": [[1]], "euler": 3, "c1": [10**4299 + 1]},
+         "c1 has an integer of more than 18 digits"),
+        ({"b1": 0, "form": [[10**299 * (i == j) for j in range(40)] for i in range(40)],
+          "euler": 42}, "form has an integer of more than 18 digits"),
     ],
-    ids=["cup1-not-an-object", "c1-length"],
+    ids=["cup1-not-an-object", "c1-length", "not-unimodular", "long-c1", "long-form"],
 )
 def test_descriptor_refusals(capsys, tmp_path, descriptor, message):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(descriptor))
-    assert run_cli(capsys, "analyze", f"@{path}") == (1, "", f"error: {message}\n")
+    for argv in (["analyze", f"@{path}"], ["star", f"@{path}", "--json"]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_at_sign_without_a_path_is_refused(capsys):

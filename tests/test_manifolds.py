@@ -27,7 +27,13 @@ from fourfold.manifolds import (
 )
 from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
-from genforms import WRONG_TYPES, cup_class, random_descriptor, wrong_type_descriptor
+from genforms import (
+    WRONG_TYPES,
+    cup_class,
+    random_descriptor,
+    random_unimodular_symmetric,
+    wrong_type_descriptor,
+)
 
 
 def test_k3_profile():
@@ -170,16 +176,6 @@ def test_surface_product_cup_classes_are_single_entries():
     assert all(len(v) == 1 for v in m.cup1.values())
 
 
-def test_manifold_data_rejects_cup_index_out_of_range():
-    with pytest.raises(ValidationError, match="out of range for rank 1"):
-        ManifoldData(b1=2, h2=cp2().h2, cup1={(0, 1): ((1, 2),)}, euler=-1)
-
-
-def test_manifold_data_euler_invariant_enforced():
-    with pytest.raises(ValidationError):
-        ManifoldData(b1=0, h2=k3().h2, euler=23)
-
-
 def test_custom_round_trips_k3():
     m = k3()
     again = custom(descriptor_of(m, label="k3-copy"))
@@ -221,6 +217,55 @@ def test_custom_rejects_cup_class_of_wrong_length():
 def test_custom_rejects_non_characteristic_c1():
     with pytest.raises(ValidationError, match="characteristic"):
         custom({"b1": 0, "form": [[-1]], "euler": 3, "c1": [0]})
+
+
+def test_custom_refuses_a_form_that_is_not_unimodular():
+    with pytest.raises(ValidationError, match=r"determinant is 2, but Poincare duality"):
+        custom({"b1": 0, "form": [[2]], "euler": 3, "c1": [0]})
+    with pytest.raises(ValidationError, match=r"determinant is 0, .* unimodular \(\|det\| = 1\)"):
+        custom({"b1": 0, "form": [[-1, 0], [0, 0]], "euler": 4})
+    # The longest determinant still printed has 18 digits; a longer one is
+    # not printed, so str() never meets CPython's 4300-digit limit.
+    big = 10**18 - 1
+    with pytest.raises(ValidationError, match=f"determinant is {big}, "):
+        custom({"b1": 0, "form": [[big]], "euler": 3, "c1": [1]})
+    form = [[big if i == j else 0 for j in range(300)] for i in range(300)]
+    with pytest.raises(ValidationError, match="determinant is over 18 digits long, "):
+        custom({"b1": 0, "form": form, "euler": 302})
+
+
+_DIGITS_BASE = {"b1": 2, "form": [[1]], "euler": -1, "cup1": {"1,2": [1]}, "c1": [1]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b1", 10**18),
+        ("euler", -(10**18)),
+        ("form", [[10**18]]),
+        ("cup1", {"1,2": [-(10**18)]}),
+        ("c1", [10**4299 + 1]),
+    ],
+    ids=["b1", "euler", "form", "cup1", "c1"],
+)
+def test_custom_caps_every_integer_at_18_digits(field, value):
+    custom(_DIGITS_BASE)
+    with pytest.raises(ValidationError, match=f"^{field} has an integer of more than 18 digits$"):
+        custom({**_DIGITS_BASE, field: value})
+
+
+@pytest.mark.parametrize(
+    "key", ["1,\u0662", "0_1,2", "1,+2", " 1 , 2", "01,2", "1,2 ", "1,-2", "1,\uff12", ""]
+)
+def test_custom_reads_only_canonical_cup_keys(key):
+    descriptor = {"b1": 2, "form": [], "euler": -2, "cup1": {key: []}}
+    with pytest.raises(ValidationError, match="is not of the form 'i,j'"):
+        custom(descriptor)
+    # So no two keys name one pair, and no class is silently dropped.
+    with pytest.raises(ValidationError, match="'01,2' is not of the form 'i,j'"):
+        custom({"b1": 2, "form": [[1, 0], [0, -1]], "euler": 0,
+                "cup1": {"1,2": [1, 0], "01,2": [0, 1]}})
+    assert custom({**descriptor, "cup1": {"1,2": []}}).cup1 == {}
 
 
 def test_custom_rejects_unknown_fields_and_bad_cup_keys():
@@ -323,12 +368,17 @@ JSON_VALUES = st.recursive(
 @st.composite
 def descriptors(draw):
     """Descriptor-shaped JSON objects: mostly valid, with forms that are
-    often disconnected or have zero rows, then one field corrupted."""
+    often disconnected or have zero rows, half of them unimodular so that
+    custom admits some, then one field corrupted."""
     n = draw(st.integers(0, 5))
-    form = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            form[i][j] = form[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+    if draw(st.booleans()):
+        lattice, _ = random_unimodular_symmetric(n, draw(st.randoms(use_true_random=False)))
+        form = [list(row) for row in lattice.form]
+    else:
+        form = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                form[i][j] = form[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
     b1 = draw(st.integers(0, 4))
     d = {"b1": b1, "form": form, "euler": 2 - 2 * b1 + n}
     if draw(st.booleans()):
@@ -372,7 +422,8 @@ def test_custom_raises_only_validation_errors(descriptor):
     except ValidationError:
         return
     assert sorted(m.h2.blocks) == sorted(Lattice(m.h2.rows).blocks)
-    assert sum(inertia(m.h2)) == m.h2.rank
+    assert abs(determinant(m.h2)) == 1
+    assert inertia(m.h2)[2] == 0
 
 
 GENERATOR_PIECES = st.sampled_from([k3, cp2, cp2bar, s1xs3, s4]).map(

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold.cli import main
 from fourfold.errors import IntegralityError, ShapeError, ValidationError
@@ -18,7 +20,15 @@ from fourfold.spinc import (
     spinc,
 )
 
-from genforms import cup_class, random_descriptor
+from genforms import (
+    cup_class,
+    dense_direct_sum,
+    random_descriptor,
+    random_unimodular,
+    random_unimodular_symmetric,
+    solve_characteristic_mod2,
+    transform,
+)
 
 GENERATOR_POOL = [
     k3,
@@ -305,3 +315,27 @@ def test_text_analyze_memory_is_linear_in_summands(capsys):
     finally:
         tracemalloc.stop()
     assert peaks[100] <= 2.5 * peaks[50], peaks
+
+
+_E8 = [list(row[:8]) for row in k3().h2.form[:8]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 5), st.integers(0, 2), st.sampled_from((0, -1, 1)), st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_admitted_descriptors_have_integral_index_and_dimension(odd, h, e8, b1, rng):
+    # The theorems behind the exact divisions of dirac_index and
+    # moduli_dimension, over every descriptor custom admits: odd and even
+    # unimodular forms, mixed by a random change of basis, with a random
+    # b1 and a random characteristic c1.
+    blocks = [[list(row) for row in random_unimodular_symmetric(odd, rng)[0].form]] if odd else []
+    blocks += [[[0, 1], [1, 0]]] * h + ([[[e8 * x for x in row] for row in _E8]] if e8 else [])
+    form = dense_direct_sum(blocks)
+    form = transform(form, random_unimodular(len(form), rng))
+    c1 = solve_characteristic_mod2(form, rng)
+    m = custom({"b1": b1, "form": form, "euler": 2 - 2 * b1 + len(form), "c1": list(c1)})
+    s = canonical_spinc(m)
+    assert (s.c1_square - s.tau) % 8 == 0
+    assert (s.c1_square - 2 * m.euler - 3 * s.tau) % 4 == 0
