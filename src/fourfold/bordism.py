@@ -75,13 +75,15 @@ class FamilyCertificate(_Value):
         return SpinBordismClass(dimension=d, group=POINT_SPIN_BORDISM.get(d, "?"), value=value)
 
 
-def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> None:
-    """Check that a pair lies in the covered family.
+def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
+    """Check membership in the covered family.
 
     Every summand must be a K3 surface or a product of two odd-genus
     surfaces, and the spin^c class must be the concatenation of the
-    summands' canonical classes.  Anything else raises
-    :class:`UnsupportedFamilyError`.
+    summands' canonical classes; anything else raises
+    :class:`UnsupportedFamilyError`.  The spin condition must hold and
+    the moduli dimension must be l - 1; data that breaks either cannot
+    come from the family and raises :class:`ValidationError`.
     """
     for summand in manifold.summands:
         if summand.kind not in (K3, SP):
@@ -99,16 +101,6 @@ def covered_summands(manifold: ManifoldData, s: SpinCStructure) -> None:
             "spin^c structure is not the canonical (complex-structure) one "
             "on every summand"
         )
-
-
-def certify_family(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
-    """Check membership in the covered family (:func:`covered_summands`).
-
-    The spin condition must hold and the moduli dimension must be l - 1;
-    data that breaks either cannot come from the family and raises
-    :class:`ValidationError`.
-    """
-    covered_summands(manifold, s)
     condition = spin_condition(manifold, s)
     if not condition.holds:
         raise ValidationError(

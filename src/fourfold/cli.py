@@ -5,11 +5,6 @@ bad descriptors, inconsistent data), 2 when a theorem's hypotheses are
 not met.  Hypothesis failures are never dressed up as computed results.
 """
 
-# The docstring above is the text of `fourfold --help`.  A request is
-# refused at its first failing stage: the expression, --c1, the spin^c
-# structure, N1/N2, the covered family (sigma0, yamabe, einstein), the
-# spin^c data, and last the theorem (see _pair).
-
 from __future__ import annotations
 
 import argparse
@@ -18,7 +13,7 @@ import re
 import sys
 
 from . import report as rpt
-from .bordism import covered_summands
+from .bordism import spin_bordism_class
 from .errors import InapplicableError, ValidationError
 from .expressions import MAX_INTEGER_DIGITS, parse, parse_manifold
 from .manifolds import SP, ManifoldData
@@ -76,27 +71,28 @@ def _echo(args, c1: tuple[int, ...] | None, **extra) -> dict:
     return echo
 
 
-def _pair(args, command: str, other: str | None, covered: bool, **echo):
+def _pair(args, command: str, other: str | None = None, verdict=None, **echo):
     """M, its spin^c structure s, the manifold ``other`` names (N1 or N2,
-    else None) and the report with its base, manifold and spin^c sections.
+    else None), the report with its base, manifold and spin^c sections,
+    and ``verdict(m, s, n)``, the command's theorem (else None).
 
     A request is refused at the first stage that fails, in this order: the
     expression, the syntax of ``--c1`` and the spin^c structure (length,
     characteristic, canonical class), then ``other`` (exit 1 for each);
-    then, when ``covered``, the family (exit 2).  Uncovered pairs are
-    refused before the spin^c section checks their data, such as an odd
-    cup pairing (exit 1).  The command's own theorem comes last.
+    then ``verdict``, whose first hypothesis is the covered family (exit
+    2).  So an uncovered pair is refused before the spin^c section checks
+    its data, such as an odd cup pairing (exit 1); on a covered pair that
+    check cannot fail, since the canonical c1 pairs evenly.
     """
     m = parse_manifold(args.expression)
     c1 = None if args.c1 is None else _parse_c1(args.c1)
     s, source = _spinc_for(m, c1)
     n = None if other is None else parse_manifold(other)
-    if covered:
-        covered_summands(m, s)
+    value = None if verdict is None else verdict(m, s, n)
     report = rpt.base_report(command, _echo(args, c1, **echo))
     report["manifold"] = rpt.manifold_summary(m)
     report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
-    return m, s, n, report
+    return m, s, n, report, value
 
 
 def _cmd_analyze(args) -> dict:
@@ -119,23 +115,21 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_star(args) -> dict:
-    _, _, _, report = _pair(args, "star", None, False)
+    _, _, _, report, _ = _pair(args, "star")
     report["result"] = report["spinc"]["condition"]
     return report
 
 
 def _cmd_sigma0(args) -> dict:
-    m, s, _, report = _pair(args, "sigma0", None, True)
-    report["bordism"] = rpt.bordism_summary(m, s)
-    if not report["bordism"]["applicable"]:
-        raise InapplicableError(report["bordism"]["reason"])
+    *_, report, klass = _pair(args, "sigma0", verdict=lambda m, s, _: spin_bordism_class(m, s))
+    report["bordism"] = rpt.bordism_fields(klass)
     report["result"] = dict(report["bordism"])
     return report
 
 
 def _cmd_genus(args) -> dict:
-    m, s, _, report = _pair(args, "genus", None, False, self_int=args.self_int,
-                            pairing=args.pairing, genus=args.genus)
+    m, s, _, report, _ = _pair(args, "genus", self_int=args.self_int,
+                               pairing=args.pairing, genus=args.genus)
     if args.genus is not None:
         cand = SurfaceCandidate(
             self_intersection=args.self_int, genus=args.genus, pairing=args.pairing
@@ -158,10 +152,11 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_yamabe(args) -> dict:
-    m, s, n1, report = _pair(
-        args, "yamabe", args.n1, True, n1=args.n1, nonneg_scalar=args.nonneg_scalar
+    _, _, n1, report, value = _pair(
+        args, "yamabe", args.n1,
+        lambda m, s, n1: yamabe_value(m, s, n1, args.nonneg_scalar),
+        n1=args.n1, nonneg_scalar=args.nonneg_scalar,
     )
-    value = yamabe_value(m, s, n1, args.nonneg_scalar)
     report["result"] = {
         "coefficient": value.coefficient,
         "radicand": value.radicand,
@@ -173,9 +168,11 @@ def _cmd_yamabe(args) -> dict:
 
 
 def _cmd_einstein(args) -> dict:
-    m, s, n2, report = _pair(args, "einstein", args.n2, True, n2=args.n2)
+    _, _, n2, report, obstructed = _pair(
+        args, "einstein", args.n2, einstein_nonexistence, n2=args.n2
+    )
     report["result"] = {
-        "einstein_obstructed": einstein_nonexistence(m, s, n2),
+        "einstein_obstructed": obstructed,
         "n2": rpt.manifold_summary(n2),
     }
     return report

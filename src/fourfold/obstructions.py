@@ -145,17 +145,36 @@ def _einstein_obstructed(
     return 12 * certificate.summand_count - 3 * (2 * chi2 + 3 * tau2) >= certificate.c1_square
 
 
+def _smooth_definite(n: ManifoldData, name: str) -> None:
+    """Refuse a definite N of positive rank whose form is even; called
+    after the definiteness check.
+
+    By Donaldson's theorem the definite form of a smooth closed oriented
+    4-manifold is diagonal, so it is odd when its rank is positive.  Only
+    the parity is checked, in O(nnz): an odd form that is not diagonal,
+    such as E8 + <-1>, still passes.
+    """
+    if n.h2.rank and not any(x % 2 for i, row in enumerate(n.h2.rows) for j, x in row if i == j):
+        raise InapplicableError(
+            f"{name} has an even definite form of rank {n.h2.rank}, which by "
+            "Donaldson's theorem no smooth closed oriented 4-manifold has"
+        )
+
+
 def einstein_nonexistence(manifold: ManifoldData, s: SpinCStructure, n2: ManifoldData) -> bool:
     """Whether the sum with a negative definite piece admits no Einstein
     metric.
 
     With l certified summands, the verdict is
     12*l - 3*(2*chi(N2) + 3*tau(N2)) >= sum of the summands' c1^2,
-    evaluated exactly with cleared denominators.
+    evaluated exactly with cleared denominators.  N2 must also pass
+    :func:`_smooth_definite`.
     """
     certificate = _nontrivial_certificate(manifold, s)
     pos, neg, _ = inertia(n2.h2)
-    return _einstein_obstructed(certificate, n2.euler, pos, pos - neg)
+    obstructed = _einstein_obstructed(certificate, n2.euler, pos, pos - neg)
+    _smooth_definite(n2, "N2")
+    return obstructed
 
 
 def yamabe_value(
@@ -163,13 +182,14 @@ def yamabe_value(
 ) -> PiRadical:
     """Yamabe invariant of the sum with N1: -4*pi*sqrt(2 * sum c1^2).
 
-    N1 must be negative definite and carry a metric of nonnegative scalar
-    curvature; the metric hypothesis is not decidable from our data and
-    must be asserted by the caller.
+    N1 must be negative definite, pass :func:`_smooth_definite` and carry
+    a metric of nonnegative scalar curvature; the metric hypothesis is not
+    decidable from our data and must be asserted by the caller.
     """
     certificate = _nontrivial_certificate(manifold, s)
     if not is_negative_definite(n1.h2):
         raise InapplicableError("metric hypothesis not certified: N1 is not negative definite")
+    _smooth_definite(n1, "N1")
     if not n1_admits_nonneg_scalar:
         raise InapplicableError(
             "metric hypothesis not certified: N1 must be asserted to admit a "

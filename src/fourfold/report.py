@@ -8,7 +8,7 @@ same dict, so the two never disagree.
 
 from __future__ import annotations
 
-from .bordism import certify_family
+from .bordism import SpinBordismClass, spin_bordism_class
 from .errors import InapplicableError
 from .lattice import determinant, signature
 from .manifolds import ManifoldData
@@ -80,18 +80,23 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: boo
     return section
 
 
-def bordism_summary(m: ManifoldData, s: SpinCStructure) -> dict:
-    """The bordism section; an inapplicable verdict records its reason."""
-    try:
-        klass = certify_family(m, s).bordism_class()
-    except InapplicableError as exc:
-        return {"applicable": False, "reason": str(exc)}
+def bordism_fields(klass: SpinBordismClass) -> dict:
+    """The bordism section of an established verdict."""
     return {
         "applicable": True,
         "dimension": klass.dimension,
         "group": klass.group,
         "value": klass.value,
     }
+
+
+def bordism_summary(m: ManifoldData, s: SpinCStructure) -> dict:
+    """The bordism section; an inapplicable verdict records its reason."""
+    try:
+        klass = spin_bordism_class(m, s)
+    except InapplicableError as exc:
+        return {"applicable": False, "reason": str(exc)}
+    return bordism_fields(klass)
 
 
 def base_report(command: str, input_echo: dict) -> dict:

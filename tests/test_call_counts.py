@@ -1,9 +1,11 @@
-"""Each request certifies the covered family once and builds the
+"""Each request certifies the covered family once, runs each public
+function of ``fourfold.bordism`` at most once and builds the
 cup-pairing matrix at most once, a scan's cost in connected sums and
 inertia computations does not grow with r_max while each row evaluates
 both verdicts once, resolving k*X takes one connected sum, and each
 distinct block and generator is built once."""
 
+import inspect
 import sys
 from collections import Counter
 
@@ -13,7 +15,7 @@ import fourfold
 from fourfold.cli import main
 from fourfold.expressions import parse_manifold
 from fourfold.manifolds import custom, k3, surface_product
-from fourfold import manifolds, obstructions
+from fourfold import bordism, manifolds, obstructions
 from fourfold.obstructions import example_scan
 
 COUNTED = (
@@ -25,22 +27,27 @@ COUNTED = (
 )
 
 
+def count_calls(monkeypatch, counts, module_name, name):
+    """Count calls of ``module_name.name`` in ``counts[name]`` through every
+    module binding of it, including ``from``-import re-bindings."""
+    original = getattr(sys.modules[module_name], name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is fourfold or getattr(module, "__name__", "").startswith("fourfold."):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls through every module binding of the counted functions,
-    including ``from``-import re-bindings."""
+    """Count calls of the counted functions."""
     counts = Counter()
     for module_name, name in COUNTED:
-        original = getattr(sys.modules[module_name], name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module is fourfold or getattr(module, "__name__", "").startswith("fourfold."):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting)
+        count_calls(monkeypatch, counts, module_name, name)
     return counts
 
 
@@ -101,6 +108,38 @@ def test_request_derives_spinc_facts_once(calls, capsys, argv):
     assert main(argv + ["--json"]) == 0
     capsys.readouterr()
     assert (calls["pairing"], calls["cup_pairing_matrix"], calls["certify_family"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8*SP(3,3)"],
+        ["analyze", "K3 # SP(3,3)"],
+        ["analyze", "SP(2,2) # K3"],
+        ["sigma0", "K3 # K3 # SP(3,1)"],
+        ["sigma0", "2*SP(3,3)"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
+        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
+        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
+    ],
+)
+def test_request_checks_the_family_once(monkeypatch, capsys, argv):
+    # Every public function of fourfold.bordism, so that a second check
+    # of the family cannot hide in a new helper.
+    public = [
+        name for name, value in vars(bordism).items()
+        if inspect.isfunction(value) and value.__module__ == bordism.__name__
+        and not name.startswith("_")
+    ]
+    assert "certify_family" in public
+    counts = Counter()
+    for name in public:
+        count_calls(monkeypatch, counts, bordism.__name__, name)
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert counts["certify_family"] == 1
+    assert max(counts.values()) == 1, counts
 
 
 def test_example_scan_work_independent_of_r_max(calls):

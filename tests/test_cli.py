@@ -557,6 +557,9 @@ def test_huge_generator_is_refused_before_it_is_built(argv, size):
          "error: scan genera must be odd and positive, got 100000000000000002\n"),
         (["scan", "--G-from", "2*SP(100000000000000001,1)", "--r-max", "0"],
          "error: r_max must be positive, got 0\n"),
+        # A character that starts no generator is refused by the parser,
+        # before anything is built.
+        (["analyze", "K3 # $"], "error: expected a generator (at offset 5)\n"),
     ],
 )
 def test_generator_budget_comes_after_the_generator_checks(capsys, argv, message):

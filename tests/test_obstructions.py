@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
-from fourfold.manifolds import connected_sum, cp2, cp2bar, k3, s1xs3, s4, surface_product
+from fourfold.manifolds import (
+    connected_sum,
+    cp2,
+    cp2bar,
+    custom,
+    k3,
+    s1xs3,
+    s4,
+    surface_product,
+)
 from fourfold.obstructions import (
     SCAN_R_MAX,
     PiRadical,
@@ -17,6 +26,7 @@ from fourfold.obstructions import (
     yamabe_value,
 )
 from fourfold.spinc import canonical_spinc
+from test_refusals import negative_e8
 
 
 def k3_pair():
@@ -162,6 +172,18 @@ def test_yamabe_requires_metric_assertion():
         yamabe_value(m, s, cp2bar(), False)
     with pytest.raises(InapplicableError, match="metric hypothesis"):
         yamabe_value(m, s, cp2(), True)
+
+
+def test_donaldson_check_passes_an_odd_form_that_is_not_diagonal():
+    # No smooth closed 4-manifold has -E8 + <-1>, but only the parity is
+    # checked; tests/test_refusals.py sends the even -E8.
+    m, s = k3_pair()
+    odd = custom({
+        "b1": 0, "form": [row + [0] for row in negative_e8()] + [[0] * 8 + [-1]],
+        "euler": 11, "c1": [0] * 8 + [1],
+    })
+    assert einstein_nonexistence(m, s, odd) is True
+    assert yamabe_value(m, s, odd, True) == PiRadical(0, 0)
 
 
 def test_yamabe_permutation_invariant_and_zero_iff_flat_summands():

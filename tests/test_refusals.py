@@ -1,4 +1,4 @@
-"""The refusal table of the descriptor gate.
+"""The refusal tables of the descriptor gate and of the theorems.
 
 Every ``raise`` in :func:`fourfold.manifolds.custom` and
 :func:`fourfold.manifolds.load_descriptor`, found by walking their
@@ -7,6 +7,12 @@ Every ``raise`` in :func:`fourfold.manifolds.custom` and
 runs under a line tracer limited to those two functions.  The test fails
 when a ``raise`` has no row, or when a row stops reaching a ``raise`` of
 the table.
+
+The same holds for every ``raise`` in :mod:`fourfold.bordism` and
+:mod:`fourfold.obstructions`.  A row there is a request wherever a
+request reaches the ``raise``, and a library call otherwise.  Rows may
+share a ``raise``: the Donaldson refusal is reached from ``yamabe`` and
+from ``einstein``.
 """
 
 import ast
@@ -15,10 +21,17 @@ import json
 import sys
 import textwrap
 
-from fourfold import manifolds
+from fourfold import bordism, manifolds, obstructions
+from fourfold.bordism import NONTRIVIAL, SpinBordismClass, spin_bordism_class
 from fourfold.cli import main
+from fourfold.errors import ValidationError
+from fourfold.lattice import Lattice
+from fourfold.manifolds import K3, ManifoldData, Summand
+from fourfold.obstructions import PiRadical
+from fourfold.spinc import canonical_spinc
 
 GATE = (manifolds.custom, manifolds.load_descriptor)
+THEOREMS = (bordism, obstructions)
 
 _NOT_UNIMODULAR = (
     "but Poincare duality makes the intersection form of a closed oriented 4-manifold "
@@ -66,38 +79,52 @@ TABLE = [
 ]
 
 
-def raise_lines() -> dict[int, str]:
-    """{line number: source} of every ``raise`` in the gate's functions."""
+def raise_lines(objects=GATE) -> dict[tuple[str, int], str]:
+    """{(file, line number): source} of every ``raise`` in the given
+    functions or modules."""
     lines = {}
-    for func in GATE:
-        source, start = inspect.getsourcelines(func)
+    for obj in objects:
+        source, start = inspect.getsourcelines(obj)
+        start = max(start, 1)  # 0 for a module
         for node in ast.walk(ast.parse(textwrap.dedent("".join(source)))):
             if isinstance(node, ast.Raise):
                 line = start + node.lineno - 1
-                lines[line] = f"{func.__name__}: {source[node.lineno - 1].strip()}"
+                lines[inspect.getsourcefile(obj), line] = (
+                    f"{obj.__name__}: {source[node.lineno - 1].strip()}"
+                )
     return lines
+
+
+def traced(objects, call):
+    """What ``call()`` returns, or the exception it raises, and the
+    (file, line) pairs it executed in the given functions or modules."""
+    codes = {obj.__code__ for obj in objects if inspect.isfunction(obj)}
+    files = {obj.__file__ for obj in objects if inspect.ismodule(obj)}
+    executed = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes or frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        outcome = call()
+    except Exception as exc:
+        outcome = exc
+    finally:
+        sys.settrace(previous)
+    return outcome, executed
 
 
 def run_traced(capsys, path):
     """Exit code, stderr and the lines of the gate's functions that
     ``fourfold analyze @path`` executed."""
-    gate = {func.__code__ for func in GATE}
-    executed = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            executed.add(frame.f_lineno)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code in gate else None
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        code = main(["analyze", f"@{path}"])
-    finally:
-        sys.settrace(previous)
+    code, executed = traced(GATE, lambda: main(["analyze", f"@{path}"]))
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, captured.err, executed
@@ -124,3 +151,99 @@ def test_every_raise_of_the_gate_has_one_row_that_reaches_it(capsys, tmp_path):
     missing = [lines[line] for line in sorted(lines.keys() - reached.keys())]
     assert not missing, f"raises without a row: {missing}"
 
+
+
+def negative_e8() -> list[list[int]]:
+    rows = [[-2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
+def _mislabelled(rows, euler, c1):
+    """The data of another manifold, tagged as K3 # K3 with canonical c1."""
+    m = ManifoldData(
+        b1=0, h2=Lattice.from_rows(rows), euler=euler,
+        summands=(Summand(K3), Summand(K3)), canonical_c1=c1,
+    )
+    return m, canonical_spinc(m)
+
+
+_EVEN_N = ", which by Donaldson's theorem no smooth closed oriented 4-manifold has"
+
+# (id, argv or library call, exit code or exception type, message).  The
+# requests run in a directory holding e8.json, a descriptor with the
+# -E8 form, which no smooth closed 4-manifold has.
+THEOREM_TABLE = [
+    ("zero-group", lambda: SpinBordismClass(3, "0", NONTRIVIAL), ValueError,
+     "nontrivial value in the zero group"),
+    ("single-summand", ["sigma0", "K3"], 2,
+     "single-summand manifolds are not covered; no bordism verdict is established"),
+    ("outside-family", ["sigma0", "K3 # CP2", "--c1=" + "0," * 22 + "1"], 2,
+     "summand CP2 is outside the covered family (K3 or odd-genus surface products only)"),
+    ("even-genus", ["sigma0", "K3 # SP(3,2)"], 2,
+     "summand SP(3,2) has even genus; only odd-genus surface products are covered"),
+    ("not-canonical", ["sigma0", "K3 # K3", "--c1=2" + ",0" * 43], 2,
+     "spin^c structure is not the canonical (complex-structure) one on every summand"),
+    # 8<1> with c1^2 = 16: Dirac index 1.
+    ("spin-condition",
+     lambda: spin_bordism_class(*_mislabelled(
+         [[int(i == j) for j in range(8)] for i in range(8)], 10, (3,) + (1,) * 7)),
+     ValidationError, "spin condition fails for a covered-family manifold"),
+    # ~CP2: the spin condition holds, the moduli dimension is -1.
+    ("moduli-dimension", lambda: spin_bordism_class(*_mislabelled([[-1]], 3, (1,))),
+     ValidationError, "moduli dimension -1 does not match 2 summands (expected 1)"),
+    ("radicand", lambda: PiRadical.of(-4, -1), ValidationError,
+     "radicand must be nonnegative, got -1"),
+    ("trivial-class", ["yamabe", "4*K3", "--n1", "~CP2", "--nonneg-scalar"], 2,
+     "bordism class is trivial for 4 summands; the obstruction theorems require"),
+    ("genus-zero", ["genus", "K3 # K3", "--self-int", "0", "--genus", "0"], 2,
+     "adjunction bound requires a surface of positive genus"),
+    ("embedding-negative", ["genus", "K3 # K3", "--self-int=-1", "--genus", "2"], 2,
+     "adjunction bound requires nonnegative self-intersection"),
+    ("min-genus-negative", ["genus", "K3 # K3", "--self-int=-1"], 2,
+     "adjunction bound requires nonnegative self-intersection"),
+    ("n2-indefinite", ["einstein", "2*SP(3,3)", "--n2", "CP2"], 2,
+     "N2 is not negative definite"),
+    ("n2-even", ["einstein", "K3 # K3", "--n2", "@e8.json"], 2,
+     "N2 has an even definite form of rank 8" + _EVEN_N),
+    ("n1-indefinite", ["yamabe", "2*SP(3,3)", "--n1", "CP2", "--nonneg-scalar"], 2,
+     "metric hypothesis not certified: N1 is not negative definite"),
+    ("n1-even", ["yamabe", "K3 # K3", "--n1", "@e8.json", "--nonneg-scalar"], 2,
+     "N1 has an even definite form of rank 8" + _EVEN_N),
+    ("n1-scalar", ["yamabe", "2*SP(3,3)", "--n1", "~CP2"], 2,
+     "metric hypothesis not certified: N1 must be asserted to admit a metric"),
+    ("scan-genus", ["scan", "--G-from", "SP(3,3) # SP(2,3)", "--r-max", "5"], 1,
+     "scan genera must be odd and positive, got 2"),
+    ("scan-s", ["scan", "--G-from", "2*SP(3,3)", "--s=-1", "--r-max", "5"], 1,
+     "s must be nonnegative, got -1"),
+    ("scan-r-positive", ["scan", "--G-from", "2*SP(3,3)", "--r-max", "0"], 1,
+     "r_max must be positive, got 0"),
+    ("scan-r-bound", ["scan", "--G-from", "2*SP(3,3)", "--r-max", "100001"], 1,
+     "r_max must be at most 100000, got 100001"),
+]
+
+
+def test_every_raise_of_the_theorems_is_reached_by_a_row(capsys, monkeypatch, tmp_path):
+    e8 = {"b1": 0, "form": negative_e8(), "euler": 10, "c1": [0] * 8}
+    (tmp_path / "e8.json").write_text(json.dumps(e8))
+    monkeypatch.chdir(tmp_path)
+    lines = raise_lines(THEOREMS)
+    reached = set()
+    for row_id, request, expected, message in THEOREM_TABLE:
+        if callable(request):
+            outcome, executed = traced(THEOREMS, request)
+            assert type(outcome) is expected, (row_id, outcome)
+            assert str(outcome).startswith(message), (row_id, outcome)
+        else:
+            code, executed = traced(THEOREMS, lambda: main(request))
+            captured = capsys.readouterr()
+            prefix = {1: "error: ", 2: "not applicable: "}[expected]
+            assert (code, captured.out) == (expected, ""), (row_id, captured.err)
+            assert captured.err.startswith(prefix + message), (row_id, captured.err)
+            assert captured.err.count("\n") == 1, (row_id, captured.err)
+        hit = executed & lines.keys()
+        assert len(hit) == 1, (row_id, sorted(hit))
+        reached |= hit
+    missing = [lines[line] for line in sorted(lines.keys() - reached)]
+    assert not missing, f"raises without a row: {missing}"
