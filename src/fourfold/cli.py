@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import report as rpt
-from .bordism import spin_bordism_class
+from .bordism import certify_family
 from .errors import InapplicableError, ValidationError
 from .expressions import MAX_INTEGER_DIGITS, parse, parse_manifold
 from .manifolds import SP, ManifoldData
@@ -51,6 +51,9 @@ def _integer(text: str) -> int:
 
 
 def _parse_c1(text: str) -> tuple[int, ...]:
+    """The coordinates of ``--c1``; the empty text is the class of rank 0."""
+    if not text:
+        return ()
     try:
         return tuple(_integer(x) for x in text.split(","))
     except argparse.ArgumentTypeError:
@@ -109,7 +112,10 @@ def _cmd_analyze(args) -> dict:
         report["spinc_skipped"] = str(exc)
     else:
         report["spinc"] = rpt.spinc_summary(m, s, source, args.json)
-        report["bordism"] = rpt.bordism_summary(m, s)
+        try:
+            report["bordism"] = rpt.bordism_fields(certify_family(m, s))
+        except InapplicableError as exc:
+            report["bordism"] = {"applicable": False, "reason": str(exc)}
     report["hitchin_thorpe"] = hitchin_thorpe(m)
     return report
 
@@ -121,7 +127,7 @@ def _cmd_star(args) -> dict:
 
 
 def _cmd_sigma0(args) -> dict:
-    *_, report, klass = _pair(args, "sigma0", verdict=lambda m, s, _: spin_bordism_class(m, s))
+    *_, report, klass = _pair(args, "sigma0", verdict=lambda m, s, _: certify_family(m, s))
     report["bordism"] = rpt.bordism_fields(klass)
     report["result"] = dict(report["bordism"])
     return report

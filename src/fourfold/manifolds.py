@@ -44,6 +44,11 @@ CUSTOM = "CUSTOM"
 # anything that can be built; the cap keeps int() and str() in CPython's limit.
 MAX_INTEGER_DIGITS = 18
 
+# Largest descriptor file, in bytes: at most one byte more is read, so a
+# larger file (or /dev/zero) is refused without reading the rest.  A
+# compact dense descriptor of rank 2800 with one-digit entries is 15 MiB.
+MAX_DESCRIPTOR_BYTES = 16 * 2**20
+
 
 class Summand(_Value):
     """One connected-sum piece by name: a generator of :data:`GENERATORS`
@@ -369,10 +374,17 @@ def load_descriptor(path: str) -> ManifoldData:
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            descriptor = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DESCRIPTOR_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"cannot read descriptor file '{path}': {exc}") from exc
+    if len(data) > MAX_DESCRIPTOR_BYTES:
+        raise ValidationError(
+            f"descriptor file '{path}' is larger than the budget of "
+            f"MAX_DESCRIPTOR_BYTES = {MAX_DESCRIPTOR_BYTES} bytes"
+        )
+    try:
+        descriptor = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"descriptor file '{path}' is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .bordism import NONTRIVIAL, FamilyCertificate, certify_family
+from .bordism import NONTRIVIAL, certify_family
 from .errors import InapplicableError, ValidationError
 from .expressions import check_sum_size
 from .lattice import _Value, inertia, is_negative_definite, signature
@@ -83,16 +83,14 @@ class PiRadical(_Value):
         return f"{self.coefficient}*sqrt({self.radicand})*pi"
 
 
-def _nontrivial_certificate(manifold: ManifoldData, s: SpinCStructure) -> FamilyCertificate:
+def _require_nontrivial(manifold: ManifoldData, s: SpinCStructure) -> None:
     """Certify the family once and require a nontrivial bordism class."""
-    certificate = certify_family(manifold, s)
-    klass = certificate.bordism_class()
+    klass = certify_family(manifold, s)
     if klass.value != NONTRIVIAL:
         raise InapplicableError(
             f"bordism class is {klass.value} for {klass.dimension + 1} summands; "
             "the obstruction theorems require a nontrivial class"
         )
-    return certificate
 
 
 def embedding_obstructed(
@@ -105,7 +103,7 @@ def embedding_obstructed(
     False means the inequality is satisfied (no conclusion about
     existence).
     """
-    _nontrivial_certificate(manifold, s)
+    _require_nontrivial(manifold, s)
     if cand.genus < 1:
         raise InapplicableError("adjunction bound requires a surface of positive genus")
     if cand.self_intersection < 0:
@@ -118,7 +116,7 @@ def embedding_obstructed(
 def min_genus(manifold: ManifoldData, s: SpinCStructure, n: int, p: int) -> int:
     """Smallest genus g >= 1 compatible with the adjunction bound for
     self-intersection n and pairing p."""
-    _nontrivial_certificate(manifold, s)
+    _require_nontrivial(manifold, s)
     if n < 0:
         raise InapplicableError(
             "adjunction bound requires nonnegative self-intersection"
@@ -136,13 +134,11 @@ def hitchin_thorpe(x: ManifoldData) -> bool:
     return _hitchin_thorpe(x.euler, signature(x.h2))
 
 
-def _einstein_obstructed(
-    certificate: FamilyCertificate, chi2: int, pos2: int, tau2: int
-) -> bool:
+def _einstein_obstructed(l: int, c1_square: int, chi2: int, pos2: int, tau2: int) -> bool:
     # The form is unimodular, so no positive direction means definite.
     if pos2:
         raise InapplicableError("N2 is not negative definite")
-    return 12 * certificate.summand_count - 3 * (2 * chi2 + 3 * tau2) >= certificate.c1_square
+    return 12 * l - 3 * (2 * chi2 + 3 * tau2) >= c1_square
 
 
 def _smooth_definite(n: ManifoldData, name: str) -> None:
@@ -170,9 +166,11 @@ def einstein_nonexistence(manifold: ManifoldData, s: SpinCStructure, n2: Manifol
     evaluated exactly with cleared denominators.  N2 must also pass
     :func:`_smooth_definite`.
     """
-    certificate = _nontrivial_certificate(manifold, s)
+    _require_nontrivial(manifold, s)
     pos, neg, _ = inertia(n2.h2)
-    obstructed = _einstein_obstructed(certificate, n2.euler, pos, pos - neg)
+    obstructed = _einstein_obstructed(
+        len(manifold.summands), s.c1_square, n2.euler, pos, pos - neg
+    )
     _smooth_definite(n2, "N2")
     return obstructed
 
@@ -186,7 +184,7 @@ def yamabe_value(
     a metric of nonnegative scalar curvature; the metric hypothesis is not
     decidable from our data and must be asserted by the caller.
     """
-    certificate = _nontrivial_certificate(manifold, s)
+    _require_nontrivial(manifold, s)
     if not is_negative_definite(n1.h2):
         raise InapplicableError("metric hypothesis not certified: N1 is not negative definite")
     _smooth_definite(n1, "N1")
@@ -195,7 +193,7 @@ def yamabe_value(
             "metric hypothesis not certified: N1 must be asserted to admit a "
             "metric with nonnegative scalar curvature"
         )
-    return PiRadical.of(-4, 2 * certificate.c1_square)
+    return PiRadical.of(-4, 2 * s.c1_square)
 
 
 def example_scan(
@@ -228,7 +226,9 @@ def example_scan(
 
     check_sum_size(sum(1 + surface_product_rank(g, gp) for g, gp in ((g1, g1p), (g2, g2p))))
     m = connected_sum(surface_product(g1, g1p), surface_product(g2, g2p))
-    certificate = _nontrivial_certificate(m, canonical_spinc(m))
+    spin = canonical_spinc(m)
+    _require_nontrivial(m, spin)
+    l = len(m.summands)
     big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)
 
     def profile(x: ManifoldData) -> tuple[int, int, int]:
@@ -247,7 +247,7 @@ def example_scan(
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": _einstein_obstructed(certificate, chi2, pos2, tau2),
+                "einstein_obstructed": _einstein_obstructed(l, spin.c1_square, chi2, pos2, tau2),
                 "hitchin_thorpe": _hitchin_thorpe(chi_m + chi2 - 2, tau_m + tau2),
             }
         )

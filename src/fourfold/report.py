@@ -8,18 +8,10 @@ same dict, so the two never disagree.
 
 from __future__ import annotations
 
-from .bordism import SpinBordismClass, spin_bordism_class
-from .errors import InapplicableError
+from .bordism import SpinBordismClass
 from .lattice import determinant, signature
 from .manifolds import ManifoldData
-from .spinc import (
-    SpinCondition,
-    SpinCStructure,
-    TorusTwoForm,
-    dirac_index,
-    index_chern_form,
-    moduli_dimension,
-)
+from .spinc import SpinCStructure, index_chern_form
 
 SCHEMA_VERSION = 1
 
@@ -56,25 +48,26 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: boo
     never builds them.  ``w2`` is the mod-2 data of the approximation
     bundles for an even approximation dimension (``m_parity`` 0): torus
     part = index Chern matrix mod 2, h coefficient = Dirac index mod 2,
-    e*h coefficient 0.
+    e*h coefficient 0.  An odd cup pairing is refused first, by
+    :func:`index_chern_form`.
     """
     chern = index_chern_form(m, s)
-    index = dirac_index(m, s)
-    condition = SpinCondition.of(index, chern)
-    section = {"c1": list(s.c1), "source": source, "dirac_index": index}
+    condition = s.condition
+    section = {"c1": list(s.c1), "source": source, "dirac_index": s.dirac_index}
     if matrices:
-        section["cup_pairing_matrix"] = [list(r) for r in TorusTwoForm(m.b1, s.pairings).dense()]
+        # The cup pairings are twice the index Chern entries.
+        section["cup_pairing_matrix"] = [list(r) for r in chern.dense(2)]
         section["index_chern_matrix"] = [list(r) for r in chern.dense()]
     section["condition"] = {
         "index_even": condition.index_even,
         "chern_even": condition.chern_even,
         "holds": condition.holds,
     }
-    section["moduli_dimension"] = moduli_dimension(m, s)
+    section["moduli_dimension"] = s.moduli_dimension
     section["w2"] = {
         "m_parity": 0,
         "torus_part_zero": condition.chern_even,
-        "h_coefficient": index % 2,
+        "h_coefficient": s.dirac_index % 2,
         "e_h_coefficient": 0,
     }
     return section
@@ -88,15 +81,6 @@ def bordism_fields(klass: SpinBordismClass) -> dict:
         "group": klass.group,
         "value": klass.value,
     }
-
-
-def bordism_summary(m: ManifoldData, s: SpinCStructure) -> dict:
-    """The bordism section; an inapplicable verdict records its reason."""
-    try:
-        klass = spin_bordism_class(m, s)
-    except InapplicableError as exc:
-        return {"applicable": False, "reason": str(exc)}
-    return bordism_fields(klass)
 
 
 def base_report(command: str, input_echo: dict) -> dict:

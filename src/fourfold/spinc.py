@@ -30,22 +30,36 @@ class SpinCStructure(_Value):
     :func:`canonical_spinc`.
 
     The facts of the pair that cannot fail are derived once, on the
-    manifold the structure is built on: ``c1_square`` = c1^2, ``tau``,
-    the signature of the form, and ``pairings``, the nonzero cup pairings
-    of :func:`cup_pairing_matrix`.  Equality and hashing read ``c1``
-    only.  The functions of this module raise :class:`ShapeError` for a
-    structure of another rank than the manifold, as :func:`pairing` does
-    for a vector.
+    manifold the structure is built on: ``c1_square`` = c1^2, ``tau``
+    (the signature), ``pairings`` (the nonzero cup pairings of
+    :func:`cup_pairing_matrix`), ``dirac_index``, ``moduli_dimension``,
+    ``chern`` (half the pairings, None if one is odd) and ``condition``.
+    Equality and hashing read ``c1`` only.  The functions of this module
+    raise :class:`ShapeError` for a structure of another rank than the
+    manifold, as :func:`pairing` does for a vector.
     """
 
-    __slots__ = ("c1", "c1_square", "tau", "pairings")
+    __slots__ = ("c1", "c1_square", "tau", "pairings", "dirac_index", "moduli_dimension",
+                 "chern", "condition")
     _fields = ("c1",)
 
     def __init__(self, c1: Vector, manifold: ManifoldData):
         object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c1_square", pairing(manifold.h2, c1, c1))
-        object.__setattr__(self, "tau", signature(manifold.h2))
-        object.__setattr__(self, "pairings", cup_pairing_matrix(manifold, self))
+        object.__setattr__(self, "c1_square", c1_square := pairing(manifold.h2, c1, c1))
+        object.__setattr__(self, "tau", tau := signature(manifold.h2))
+        object.__setattr__(self, "pairings", pairings := cup_pairing_matrix(manifold, self))
+        # Both divisions are exact on a unimodular form: a characteristic
+        # c1 has c1^2 = tau mod 8 (van der Blij), and chi + tau =
+        # 2 - 2*b1 + 2*b+ is even.
+        object.__setattr__(self, "dirac_index", index := (c1_square - tau) // 8)
+        d = (c1_square - 2 * manifold.euler - 3 * tau) // 4
+        object.__setattr__(self, "moduli_dimension", d)
+        chern = None
+        if not any(x % 2 for x in pairings.values()):
+            chern = TorusTwoForm(manifold.b1, {key: x // 2 for key, x in pairings.items()})
+        object.__setattr__(self, "chern", chern)
+        condition = SpinCondition(index % 2 == 0, chern is not None and chern.all_even())
+        object.__setattr__(self, "condition", condition)
 
 
 class TorusTwoForm(_Value):
@@ -62,46 +76,27 @@ class TorusTwoForm(_Value):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def halving(cls, size: int, pairings: dict[tuple[int, int], int]) -> "TorusTwoForm":
-        """Half of a cup-pairing matrix given by its nonzero upper entries.
-        An odd pairing contradicts the integrality of the index Chern class
-        and flags corrupt input data; the error names the first odd entry
-        of the dense matrix in row-major order."""
-        odd = [key for key, x in pairings.items() if x % 2]
-        if odd:
-            i, j = min(odd)
-            raise IntegralityError(
-                f"cup pairing at ({i},{j}) is odd ({pairings[i, j]}); "
-                "half-integral index Chern class is not allowed"
-            )
-        return cls(size, {key: x // 2 for key, x in pairings.items()})
-
     def all_even(self) -> bool:
         return all(x % 2 == 0 for x in self.entries.values())
 
-    def dense(self) -> tuple[tuple[int, ...], ...]:
-        """The full size x size matrix, O(size^2): for export only."""
+    def dense(self, scale: int = 1) -> tuple[tuple[int, ...], ...]:
+        """The full size x size matrix times ``scale``, O(size^2): export only."""
         rows = [[0] * self.size for _ in range(self.size)]
         for (i, j), x in self.entries.items():
-            rows[i][j] = x
-            rows[j][i] = -x
+            rows[i][j] = scale * x
+            rows[j][i] = -scale * x
         return tuple(tuple(row) for row in rows)
 
 
 class SpinCondition(_Value):
-    """Verdict of the two parity conditions for a spin moduli space."""
+    """Verdict of the two parity conditions for a spin moduli space: the
+    Dirac index is even, and so is the index Chern class."""
 
     __slots__ = _fields = ("index_even", "chern_even")
 
     def __init__(self, index_even: bool, chern_even: bool):
         object.__setattr__(self, "index_even", index_even)
         object.__setattr__(self, "chern_even", chern_even)
-
-    @classmethod
-    def of(cls, index: int, chern: TorusTwoForm) -> "SpinCondition":
-        """The conditions read off the Dirac index and the index Chern class."""
-        return cls(index_even=index % 2 == 0, chern_even=chern.all_even())
 
     @property
     def holds(self) -> bool:
@@ -129,12 +124,9 @@ def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
 
 
 def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
-    """Index of the spin^c Dirac operator: (c1^2 - tau) / 8.
-
-    The division is exact: the form is unimodular, and a characteristic
-    c1 of a unimodular form has c1^2 = tau mod 8 (van der Blij)."""
+    """Index of the spin^c Dirac operator: (c1^2 - tau) / 8."""
     _check_length(manifold.h2, s.c1, "x")
-    return (s.c1_square - s.tau) // 8
+    return s.dirac_index
 
 
 def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[int, int], int]:
@@ -161,25 +153,31 @@ def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[
 
 
 def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
-    """First Chern class of the Dirac index bundle on the Jacobian torus.
+    """First Chern class of the Dirac index bundle on the Jacobian torus:
+    half the cup pairings.
 
-    Entries are half the cup pairings; see :meth:`TorusTwoForm.halving`.
+    An odd pairing contradicts the integrality of the index Chern class
+    and flags corrupt input data; the error names the first odd entry of
+    the dense matrix in row-major order.
     """
     _check_length(manifold.h2, s.c1, "x")
-    return TorusTwoForm.halving(manifold.b1, s.pairings)
+    if s.chern is None:
+        i, j = min(key for key, x in s.pairings.items() if x % 2)
+        raise IntegralityError(
+            f"cup pairing at ({i},{j}) is odd ({s.pairings[i, j]}); "
+            "half-integral index Chern class is not allowed"
+        )
+    return s.chern
 
 
 def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:
-    """Evaluate both parity conditions for the pair (manifold, spin^c)."""
-    return SpinCondition.of(dirac_index(manifold, s), index_chern_form(manifold, s))
+    """Both parity conditions, behind the gate of :func:`index_chern_form`."""
+    index_chern_form(manifold, s)
+    return s.condition
 
 
 def moduli_dimension(manifold: ManifoldData, s: SpinCStructure) -> int:
     """Expected dimension of the monopole moduli space,
-    d = (c1^2 - 2*chi - 3*tau) / 4.
-
-    The division is exact: c1^2 - tau is divisible by 8 (see
-    :func:`dirac_index`), and chi + tau = 2 - 2*b1 + 2*b+ is even.
-    """
+    d = (c1^2 - 2*chi - 3*tau) / 4."""
     _check_length(manifold.h2, s.c1, "x")
-    return (s.c1_square - 2 * manifold.euler - 3 * s.tau) // 4
+    return s.moduli_dimension

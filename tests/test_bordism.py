@@ -9,11 +9,16 @@ import pytest
 from fourfold.bordism import (
     NONTRIVIAL,
     TRIVIAL,
-    FamilyCertificate,
+    SpinBordismClass,
     certify_family,
     spin_bordism_class,
 )
-from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
+from fourfold.errors import (
+    InapplicableError,
+    IntegralityError,
+    UnsupportedFamilyError,
+    ValidationError,
+)
 from fourfold.lattice import Lattice
 from fourfold.manifolds import (
     K3,
@@ -26,7 +31,7 @@ from fourfold.manifolds import (
     k3,
     surface_product,
 )
-from fourfold.spinc import canonical_spinc, moduli_dimension, spinc
+from fourfold.spinc import canonical_spinc, index_chern_form, moduli_dimension, spinc
 
 GENERATOR_POOL = [
     k3,
@@ -46,20 +51,23 @@ def _sum_of(builders):
 def test_certify_k3_sum():
     m = connected_sum(k3(), k3())
     cert = certify_family(m, canonical_spinc(m))
-    assert cert == FamilyCertificate(2, 0, 1)
+    assert cert == SpinBordismClass(1, "Z/2", NONTRIVIAL)
 
 
 def test_certify_c1_square():
+    # The certified c1^2 is the one the spin^c structure carries.
     m = connected_sum(surface_product(3, 3), surface_product(3, 3))
-    assert certify_family(m, canonical_spinc(m)).c1_square == 64
+    s = canonical_spinc(m)
+    assert certify_family(m, s).value == NONTRIVIAL and s.c1_square == 64
     m = connected_sum(k3(), k3())
-    assert certify_family(m, canonical_spinc(m)).c1_square == 0
+    s = canonical_spinc(m)
+    assert certify_family(m, s).value == NONTRIVIAL and s.c1_square == 0
 
 
 def test_certify_mixed_sum():
     m = connected_sum(k3(), surface_product(3, 1))
     # SP(3,1) has c1 = -4 alpha + 0 alpha', so c1^2 = 2 * (-4) * 0 = 0.
-    assert certify_family(m, canonical_spinc(m)) == FamilyCertificate(2, 0, 1)
+    assert certify_family(m, canonical_spinc(m)) == SpinBordismClass(1, "Z/2", NONTRIVIAL)
 
 
 def test_certify_rejects_cp2bar():
@@ -167,6 +175,30 @@ def test_bordism_rejects_failed_spin_condition():
     )
     with pytest.raises(ValidationError, match="spin condition fails"):
         spin_bordism_class(m, canonical_spinc(m))
+
+
+def test_certify_rejects_odd_cup_pairing():
+    # Tagged as K3 # K3 but carrying an odd cup pairing: half of it is no
+    # integer, so the index Chern class is not even and the spin condition
+    # fails.  The integrality gate of index_chern_form still refuses it.
+    m = ManifoldData(
+        b1=2,
+        h2=Lattice.from_rows(((1, 1), (1, 0))),
+        cup1={(0, 1): ((0, 1),)},
+        euler=0,
+        summands=(Summand(K3), Summand(K3)),
+        canonical_c1=(0, 1),
+    )
+    s = canonical_spinc(m)
+    with pytest.raises(ValidationError) as err:
+        certify_family(m, s)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == (
+        "spin condition fails for a covered-family manifold (index even: True, "
+        "index Chern class even: False); inconsistent input"
+    )
+    with pytest.raises(IntegralityError, match=r"cup pairing at \(0,1\) is odd \(1\)"):
+        index_chern_form(m, s)
 
 
 def test_bordism_rejects_moduli_dimension_mismatch_without_asserts():

@@ -1,9 +1,11 @@
 """Each request certifies the covered family once, runs each public
 function of ``fourfold.bordism`` at most once and builds the
-cup-pairing matrix at most once, a scan's cost in connected sums and
-inertia computations does not grow with r_max while each row evaluates
-both verdicts once, resolving k*X takes one connected sum, and each
-distinct block and generator is built once."""
+cup-pairing matrix and the index Chern form at most once, and the
+certificate reads the spin^c facts without deriving them again; a
+scan's cost in connected sums and inertia computations does not grow
+with r_max while each row evaluates both verdicts once, resolving k*X
+takes one connected sum, and each distinct block and generator is built
+once."""
 
 import inspect
 import sys
@@ -15,7 +17,7 @@ import fourfold
 from fourfold.cli import main
 from fourfold.expressions import parse_manifold
 from fourfold.manifolds import custom, k3, surface_product
-from fourfold import bordism, manifolds, obstructions
+from fourfold import bordism, manifolds, obstructions, spinc
 from fourfold.obstructions import example_scan
 
 COUNTED = (
@@ -140,6 +142,57 @@ def test_request_checks_the_family_once(monkeypatch, capsys, argv):
     capsys.readouterr()
     assert counts["certify_family"] == 1
     assert max(counts.values()) == 1, counts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8*SP(3,3)"],
+        ["analyze", "K3 # SP(3,3)"],
+        ["analyze", "SP(2,2) # K3"],
+        ["sigma0", "K3 # K3 # SP(3,1)"],
+        ["sigma0", "2*SP(3,3)"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
+        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
+        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
+        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
+    ],
+)
+def test_certificate_reads_the_spinc_facts(monkeypatch, capsys, argv):
+    # The spin^c structure derives its facts once, and the halved cup
+    # pairings are the request's one TorusTwoForm (the JSON cup-pairing
+    # matrix is read off it); certify_family calls no function of
+    # fourfold.spinc.
+    built = Counter()
+    init = spinc.TorusTwoForm.__init__
+
+    def counting_init(self, *args):
+        built["TorusTwoForm"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(spinc.TorusTwoForm, "__init__", counting_init)
+    spinc_calls = Counter()
+    for name, value in list(vars(spinc).items()):
+        if inspect.isfunction(value) and value.__module__ == spinc.__name__:
+            count_calls(monkeypatch, spinc_calls, spinc.__name__, name)
+    during = Counter()
+    certify = bordism.certify_family
+
+    def certifying(*args):
+        before = spinc_calls.copy()
+        try:
+            return certify(*args)
+        finally:
+            during.update(spinc_calls - before)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("fourfold."):
+            if getattr(module, "certify_family", None) is certify:
+                monkeypatch.setattr(module, "certify_family", certifying)
+    assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert built["TorusTwoForm"] == 1
+    assert not during, during
 
 
 def test_example_scan_work_independent_of_r_max(calls):

@@ -63,6 +63,17 @@ def test_analyze_explicit_c1(capsys):
     assert (code, report["input"]["c1"]) == (0, [1, 3])
 
 
+def test_empty_c1_is_the_class_of_rank_zero(capsys):
+    # S4, S1xS3 and their sums have no canonical class; --c1= names their
+    # only one.
+    code, report, _ = run_json(capsys, "star", "S4 # S1xS3", "--c1=")
+    assert (code, report["input"]["c1"], report["spinc"]["c1"]) == (0, [], [])
+    assert report["result"]["holds"] is True
+    code, out, err = run_cli(capsys, "star", "K3", "--c1=")
+    assert (code, out) == (1, "")
+    assert err == "error: c1 has length 0, form rank is 22\n"
+
+
 def test_analyze_bad_c1_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "~CP2", "--c1", "0")
     assert code == 1

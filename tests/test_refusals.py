@@ -9,29 +9,32 @@ when a ``raise`` has no row, or when a row stops reaching a ``raise`` of
 the table.
 
 The same holds for every ``raise`` in :mod:`fourfold.bordism` and
-:mod:`fourfold.obstructions`.  A row there is a request wherever a
-request reaches the ``raise``, and a library call otherwise.  Rows may
-share a ``raise``: the Donaldson refusal is reached from ``yamabe`` and
-from ``einstein``.
+:mod:`fourfold.obstructions`, and for every ``raise`` in
+:mod:`fourfold.spinc` and :mod:`fourfold.lattice`.  A row there is a
+request wherever a request reaches the ``raise``, and a library call
+otherwise.  Rows may share a ``raise``: the Donaldson refusal is reached
+from ``yamabe`` and from ``einstein``.
 """
 
 import ast
 import inspect
 import json
+import os
 import sys
 import textwrap
 
-from fourfold import bordism, manifolds, obstructions
+from fourfold import bordism, lattice, manifolds, obstructions, spinc
 from fourfold.bordism import NONTRIVIAL, SpinBordismClass, spin_bordism_class
 from fourfold.cli import main
-from fourfold.errors import ValidationError
+from fourfold.errors import IntegralityError, ShapeError, ValidationError
 from fourfold.lattice import Lattice
-from fourfold.manifolds import K3, ManifoldData, Summand
+from fourfold.manifolds import MAX_DESCRIPTOR_BYTES, K3, ManifoldData, Summand, k3, surface_product
 from fourfold.obstructions import PiRadical
-from fourfold.spinc import canonical_spinc
+from fourfold.spinc import canonical_spinc, dirac_index
 
 GATE = (manifolds.custom, manifolds.load_descriptor)
 THEOREMS = (bordism, obstructions)
+SPINC = (spinc, lattice)
 
 _NOT_UNIMODULAR = (
     "but Poincare duality makes the intersection form of a closed oriented 4-manifold "
@@ -39,8 +42,9 @@ _NOT_UNIMODULAR = (
 )
 
 # (id, file content, exit code, message).  The content is a JSON value to
-# dump, raw bytes, or None for no file.  A message ends at a text that
-# depends on the Python version; "{path}" stands for the file's path.
+# dump, raw bytes, an int for a file of that many zero bytes, or None for
+# no file.  A message ends at a text that depends on the Python version;
+# "{path}" stands for the file's path.
 TABLE = [
     ("unknown-field", {"b1": 0, "form": [], "euler": 2, "x": 1}, 1,
      "unknown descriptor fields: ['x']"),
@@ -76,6 +80,9 @@ TABLE = [
     ("deep-nesting", b"[" * 100_000 + b"]" * 100_000, 1,
      "descriptor file '{path}' is nested too deeply"),
     ("not-an-object", b"[]", 1, "descriptor file '{path}' must contain a JSON object"),
+    ("too-large", MAX_DESCRIPTOR_BYTES + 1, 1,
+     "descriptor file '{path}' is larger than the budget of "
+     f"MAX_DESCRIPTOR_BYTES = {MAX_DESCRIPTOR_BYTES} bytes"),
 ]
 
 
@@ -137,6 +144,9 @@ def test_every_raise_of_the_gate_has_one_row_that_reaches_it(capsys, tmp_path):
         path = tmp_path / f"{row_id}.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
+        elif isinstance(content, int):
+            path.write_bytes(b"")
+            os.truncate(path, content)  # sparse: no disk and no memory
         elif content is not None:
             path.write_text(json.dumps(content))
         got_code, err, executed = run_traced(capsys, path)
@@ -224,19 +234,19 @@ THEOREM_TABLE = [
 ]
 
 
-def test_every_raise_of_the_theorems_is_reached_by_a_row(capsys, monkeypatch, tmp_path):
-    e8 = {"b1": 0, "form": negative_e8(), "euler": 10, "c1": [0] * 8}
-    (tmp_path / "e8.json").write_text(json.dumps(e8))
-    monkeypatch.chdir(tmp_path)
-    lines = raise_lines(THEOREMS)
+def reach_every_raise(capsys, modules, table):
+    """Run each row of ``table`` under the line tracer limited to
+    ``modules``, check its outcome, and fail when a ``raise`` of the
+    modules has no row that reaches it."""
+    lines = raise_lines(modules)
     reached = set()
-    for row_id, request, expected, message in THEOREM_TABLE:
+    for row_id, request, expected, message in table:
         if callable(request):
-            outcome, executed = traced(THEOREMS, request)
+            outcome, executed = traced(modules, request)
             assert type(outcome) is expected, (row_id, outcome)
             assert str(outcome).startswith(message), (row_id, outcome)
         else:
-            code, executed = traced(THEOREMS, lambda: main(request))
+            code, executed = traced(modules, lambda: main(request))
             captured = capsys.readouterr()
             prefix = {1: "error: ", 2: "not applicable: "}[expected]
             assert (code, captured.out) == (expected, ""), (row_id, captured.err)
@@ -247,3 +257,60 @@ def test_every_raise_of_the_theorems_is_reached_by_a_row(capsys, monkeypatch, tm
         reached |= hit
     missing = [lines[line] for line in sorted(lines.keys() - reached)]
     assert not missing, f"raises without a row: {missing}"
+
+
+def test_every_raise_of_the_theorems_is_reached_by_a_row(capsys, monkeypatch, tmp_path):
+    e8 = {"b1": 0, "form": negative_e8(), "euler": 10, "c1": [0] * 8}
+    (tmp_path / "e8.json").write_text(json.dumps(e8))
+    monkeypatch.chdir(tmp_path)
+    reach_every_raise(capsys, THEOREMS, THEOREM_TABLE)
+
+
+# Descriptors the spin^c table's requests read, by file name.  They pass
+# the gate of ``custom`` up to the lattice's own checks, or all of it.
+SPINC_FILES = {
+    # b1 = 2 with an odd-diagonal form: c1 = (0, 1) pairs oddly with the
+    # cup class of the one pair of H^1 generators.
+    "odd.json": {"b1": 2, "form": [[1, 1], [1, 0]], "euler": 0, "cup1": {"1,2": [1, 0]},
+                 "c1": [0, 1]},
+    "form-type.json": {"b1": 0, "form": [[True]], "euler": 3},
+    "form-square.json": {"b1": 0, "form": [[1, 0]], "euler": 3},
+    "form-symmetric.json": {"b1": 0, "form": [[0, 1], [2, 0]], "euler": 4},
+    "c1-type.json": {"b1": 0, "form": [[1]], "euler": 3, "c1": "x"},
+}
+
+# (id, argv or library call, exit code or exception type, message), as in
+# THEOREM_TABLE.
+SPINC_TABLE = [
+    ("odd-pairing", ["star", "@odd.json"], 1,
+     "cup pairing at (0,1) is odd (1); half-integral index Chern class is not allowed"),
+    ("odd-pairing-library", lambda: spinc.spin_condition(*_with_canonical("odd.json")),
+     IntegralityError, "cup pairing at (0,1) is odd (1)"),
+    ("c1-length", ["star", "K3", "--c1="], 1, "c1 has length 0, form rank is 22"),
+    ("c1-characteristic", ["star", "~CP2", "--c1=0"], 1,
+     "c1 is not characteristic for the intersection form"),
+    ("no-canonical", ["star", "~CP2"], 1,
+     "manifold carries no canonical spin^c structure; supply c1 explicitly"),
+    ("assign", lambda: setattr(k3().h2, "rows", ()), AttributeError,
+     "cannot assign to field 'rows'"),
+    ("delete", lambda: delattr(k3().h2, "rows"), AttributeError, "cannot delete field 'rows'"),
+    ("form-type", ["analyze", "@form-type.json"], 1, "form must be a list of lists of integers"),
+    ("form-square", ["analyze", "@form-square.json"], 1, "form row 0 has length 2, expected 1"),
+    ("form-symmetric", ["analyze", "@form-symmetric.json"], 1,
+     "form is not symmetric at (0,1): 1 != 2"),
+    ("vector-type", ["analyze", "@c1-type.json"], 1, "c1 must be a list of integers"),
+    ("rank", lambda: dirac_index(k3(), canonical_spinc(surface_product(1, 1))), ShapeError,
+     "x has length 6, lattice rank is 22"),
+]
+
+
+def _with_canonical(name):
+    m = manifolds.load_descriptor(name)
+    return m, canonical_spinc(m)
+
+
+def test_every_raise_of_spinc_and_lattice_is_reached_by_a_row(capsys, monkeypatch, tmp_path):
+    for name, descriptor in SPINC_FILES.items():
+        (tmp_path / name).write_text(json.dumps(descriptor))
+    monkeypatch.chdir(tmp_path)
+    reach_every_raise(capsys, SPINC, SPINC_TABLE)
