@@ -15,13 +15,13 @@ import sys
 from . import report as rpt
 from .bordism import certify_family
 from .errors import InapplicableError, ValidationError
-from .expressions import MAX_INTEGER_DIGITS, parse, parse_manifold
-from .manifolds import SP, ManifoldData
+from .expressions import MAX_INTEGER_DIGITS, parse_manifold
+from .manifolds import ManifoldData
 from .obstructions import (
     SurfaceCandidate,
+    blowup_scan,
     einstein_nonexistence,
     embedding_obstructed,
-    example_scan,
     hitchin_thorpe,
     min_genus,
     yamabe_value,
@@ -184,27 +184,8 @@ def _cmd_einstein(args) -> dict:
     return report
 
 
-def _scan_genera(expr_text: str) -> tuple[int, int, int, int]:
-    terms = parse(expr_text).terms
-    for term in terms:
-        if term.gen.kind != SP:
-            raise ValidationError(
-                "--G-from must be a connected sum of exactly two surface "
-                f"products, got generator '{term.gen}'"
-            )
-    # Count before expanding: a multiplicity may have 18 digits.
-    total = sum(term.count for term in terms)
-    if total != 2:
-        raise ValidationError(
-            f"--G-from must contain exactly two surface products, got {total}"
-        )
-    (g1, g1p), (g2, g2p) = [term.gen.genera for term in terms for _ in range(term.count)]
-    return g1, g1p, g2, g2p
-
-
 def _cmd_scan(args) -> dict:
-    g1, g1p, g2, g2p = _scan_genera(args.G_from)
-    table = example_scan(g1, g1p, g2, g2p, args.s, args.r_max)
+    table = blowup_scan(parse_manifold(args.G_from), args.s, args.r_max)
     report = rpt.base_report(
         "scan", {"G_from": args.G_from, "s": args.s, "r_max": args.r_max}
     )
@@ -253,9 +234,10 @@ def build_parser() -> _Parser:
     p = add("einstein", _cmd_einstein, "Einstein nonexistence for the sum with N2")
     p.add_argument("--n2", required=True, help="negative definite summand expression")
 
-    p = add("scan", _cmd_scan, "scan blow-up counts for two surface products", expression=False)
+    p = add("scan", _cmd_scan, "scan blow-up counts for 2 or 3 covered summands",
+            expression=False)
     p.add_argument("--G-from", dest="G_from", required=True,
-                   help="expression with exactly two surface products")
+                   help="expression of 2 or 3 covered summands, e.g. 'K3 # SP(3,3)'")
     p.add_argument("--s", type=_integer, default=0)
     p.add_argument("--r-max", dest="r_max", type=_integer, required=True)
 

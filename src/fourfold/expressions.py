@@ -168,21 +168,15 @@ def _parse_generator(scanner: _Scanner) -> Summand:
 MAX_SUM_SIZE = 1_000_000
 
 
-def check_sum_size(size: int) -> None:
-    """Refuse a sum whose size, the sum of count*(1 + rank(H2)) over its
-    terms, exceeds :data:`MAX_SUM_SIZE`."""
-    if size > MAX_SUM_SIZE:
-        raise ValidationError(
-            f"connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
-            f"is {size}, over the budget of {MAX_SUM_SIZE}"
-        )
-
-
 def resolve(expr: ManifoldExpression) -> ManifoldData:
     """Size each term in closed form (:func:`generator_rank`; only a
-    descriptor is loaded for it), check the size of the sum with
-    :func:`check_sum_size`, then build each generator once and take the
-    connected sum of all the pieces in one call, left to right."""
+    descriptor is loaded for it), refuse a sum whose size, the sum of
+    count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
+    then build each generator once and take the connected sum of all the
+    pieces in one call, left to right.
+
+    ``expr`` is what :func:`parse` returns: at least one term, each with
+    a count of at least 1, so the sum has at least one piece."""
     sized = []
     for term in expr.terms:
         gen = term.gen
@@ -191,14 +185,17 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
             sized.append((term, piece, piece.h2.rank))
         else:
             sized.append((term, None, generator_rank(gen)))
-    check_sum_size(sum(term.count * (1 + rank) for term, _, rank in sized))
+    size = sum(term.count * (1 + rank) for term, _, rank in sized)
+    if size > MAX_SUM_SIZE:
+        raise ValidationError(
+            f"connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
+            f"is {size}, over the budget of {MAX_SUM_SIZE}"
+        )
     pieces = []
     for term, piece, _ in sized:
         if piece is None:
             piece = GENERATORS[term.gen.kind](*(term.gen.genera or ()))
         pieces += [piece] * term.count
-    if not pieces:
-        raise ValidationError("empty manifold expression")
     return connected_sum(*pieces)
 
 

@@ -49,6 +49,13 @@ MAX_INTEGER_DIGITS = 18
 # compact dense descriptor of rank 2800 with one-digit entries is 15 MiB.
 MAX_DESCRIPTOR_BYTES = 16 * 2**20
 
+# Largest rank of a descriptor's form, checked before the form is read
+# further: the determinant of a dense form costs O(rank^3).  The analyze
+# of a dense connected descriptor (n K3 blocks mixed by a unimodular
+# change of basis) took 8.1-9.6 s at rank 462 in three runs, and 7.7-12.2 s
+# at rank 484 in five (2-vCPU machine, Python 3.11).
+MAX_DESCRIPTOR_RANK = 462
+
 
 class Summand(_Value):
     """One connected-sum piece by name: a generator of :data:`GENERATORS`
@@ -287,8 +294,9 @@ def custom(descriptor: Mapping) -> ManifoldData:
 
     cup1 keys are 1-based pairs "i,j" with i < j <= b1, spelled as
     ``_CUP_KEY`` requires; omitted pairs are zero.  Every invariant is
-    checked once, the last being Poincare duality (|det Q| = 1), and the
-    error names the invariant that failed.
+    checked once, the first being the rank budget
+    :data:`MAX_DESCRIPTOR_RANK` and the last Poincare duality
+    (|det Q| = 1), and the error names the invariant that failed.
     """
     unknown = set(descriptor) - _DESCRIPTOR_FIELDS
     if unknown:
@@ -299,7 +307,13 @@ def custom(descriptor: Mapping) -> ManifoldData:
     b1 = descriptor["b1"]
     if isinstance(b1, bool) or not isinstance(b1, int) or b1 < 0:
         raise ValidationError("b1 must be a nonnegative integer")
-    form = Lattice.from_rows(descriptor["form"])
+    rows = descriptor["form"]
+    if isinstance(rows, list) and len(rows) > MAX_DESCRIPTOR_RANK:
+        raise ValidationError(
+            f"form has {len(rows)} rows, over the rank budget of "
+            f"MAX_DESCRIPTOR_RANK = {MAX_DESCRIPTOR_RANK}"
+        )
+    form = Lattice.from_rows(rows)
     euler = descriptor["euler"]
     if isinstance(euler, bool) or not isinstance(euler, int):
         raise ValidationError("euler must be an integer")

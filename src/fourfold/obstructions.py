@@ -12,17 +12,9 @@ import math
 
 from .bordism import NONTRIVIAL, certify_family
 from .errors import InapplicableError, ValidationError
-from .expressions import check_sum_size
+from .expressions import parse_manifold
 from .lattice import _Value, inertia, is_negative_definite, signature
-from .manifolds import (
-    ManifoldData,
-    connected_sum,
-    cp2bar,
-    s1xs3,
-    s4,
-    surface_product,
-    surface_product_rank,
-)
+from .manifolds import ManifoldData, cp2bar, s1xs3, s4
 from .spinc import SpinCStructure, canonical_spinc
 
 # Largest r_max a scan accepts.  Each row steps the previous one by one
@@ -196,47 +188,41 @@ def yamabe_value(
     return PiRadical.of(-4, 2 * s.c1_square)
 
 
-def example_scan(
-    g1: int, g1p: int, g2: int, g2p: int, s: int, r_max: int
-) -> dict:
-    """Scan blow-up counts r for the sum of two odd-genus surface products
-    with r copies of reversed CP^2 and s copies of S^1 x S^3.
+def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
+    """Scan blow-up counts r for M # N2, where M is a certified sum of l
+    = 2 or 3 covered summands with its canonical spin^c structure and N2
+    = S^4 # s S^1xS^3 # r ~CP^2.
 
-    The size of the fixed sum M of the two products is checked against
-    :data:`~fourfold.expressions.MAX_SUM_SIZE` before M is built, and M
-    is certified once.  chi, b+ and tau of N2 = S^4 # s S^1xS^3 # r ~CP^2
-    are added up for r = 0, and each further row adds one ~CP^2: chi grows
-    by chi(~CP^2) - 2 (the neck of the connected sum), b+ and tau by those
-    of ~CP^2.  M # N2 has chi(M) + chi(N2) - 2 and tau(M) + tau(N2).  Every
-    row's Einstein-nonexistence and Hitchin-Thorpe verdicts are evaluated with
-    the same formulas as :func:`einstein_nonexistence` and
-    :func:`hitchin_thorpe`.  The returned table also carries the
-    closed-form window: the exact lower bound (8/3)G - 4s - 4 as a reduced
-    fraction and the integer window of r values satisfying both verdicts.
+    chi, b+ and tau of N2 are added up for r = 0, and each further row
+    adds one ~CP^2: chi grows by chi(~CP^2) - 2 (the neck of the connected
+    sum), b+ and tau by those of ~CP^2.  M # N2 has chi(M) + chi(N2) - 2
+    and tau(M) + tau(N2).  Every row's Einstein-nonexistence and
+    Hitchin-Thorpe verdicts are evaluated with the same formulas as
+    :func:`einstein_nonexistence` and :func:`hitchin_thorpe`.
+
+    Each covered summand has 2*chi + 3*tau = c1^2 and tau <= 0, so the
+    verdicts follow closed forms, which the table also carries: G =
+    c1^2/8, the exact lower bound (c1^2 - 12(l-1) - 12s)/3 as a reduced
+    fraction, the upper bound c1^2 - 4(l-1) - 4s, and the integer window
+    of r values satisfying both verdicts.
     """
-    for g in (g1, g1p, g2, g2p):
-        if g < 1 or g % 2 == 0:
-            raise ValidationError(f"scan genera must be odd and positive, got {g}")
     if s < 0:
         raise ValidationError(f"s must be nonnegative, got {s}")
     if r_max < 1:
         raise ValidationError(f"r_max must be positive, got {r_max}")
     if r_max > SCAN_R_MAX:
         raise ValidationError(f"r_max must be at most {SCAN_R_MAX}, got {r_max}")
-
-    check_sum_size(sum(1 + surface_product_rank(g, gp) for g, gp in ((g1, g1p), (g2, g2p))))
-    m = connected_sum(surface_product(g1, g1p), surface_product(g2, g2p))
-    spin = canonical_spinc(m)
-    _require_nontrivial(m, spin)
-    l = len(m.summands)
-    big_g = (g1 - 1) * (g1p - 1) + (g2 - 1) * (g2p - 1)
+    spin = canonical_spinc(manifold)
+    _require_nontrivial(manifold, spin)
+    l = len(manifold.summands)
+    c1_square = spin.c1_square
 
     def profile(x: ManifoldData) -> tuple[int, int, int]:
         pos, neg, _ = inertia(x.h2)
         return x.euler, pos, pos - neg
 
-    (chi_m, _, tau_m), (chi_s4, pos_s4, tau_s4), (chi_h, pos_h, tau_h), (chi_b, pos_b, tau_b) = map(
-        profile, (m, s4(), s1xs3(), cp2bar())
+    (chi_s4, pos_s4, tau_s4), (chi_h, pos_h, tau_h), (chi_b, pos_b, tau_b) = map(
+        profile, (s4(), s1xs3(), cp2bar())
     )
     # N2 at r = 0 is S^4 # s S^1xS^3; every connected sum loses 2 from chi.
     chi2 = chi_s4 + s * (chi_h - 2)
@@ -247,24 +233,23 @@ def example_scan(
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": _einstein_obstructed(l, spin.c1_square, chi2, pos2, tau2),
-                "hitchin_thorpe": _hitchin_thorpe(chi_m + chi2 - 2, tau_m + tau2),
+                "einstein_obstructed": _einstein_obstructed(l, c1_square, chi2, pos2, tau2),
+                "hitchin_thorpe": _hitchin_thorpe(manifold.euler + chi2 - 2, spin.tau + tau2),
             }
         )
         chi2 += chi_b - 2
         pos2 += pos_b
         tau2 += tau_b
 
-    # The exact bound (8/3)G - 4s - 4 = num/3 in lowest terms: gcd(num, 3)
-    # is 1 or 3.
-    num, den = 8 * big_g - 12 * s - 12, 3
+    # num/3 in lowest terms: gcd(num, 3) is 1 or 3.
+    num, den = c1_square - 12 * (l - 1) - 12 * s, 3
     if num % 3 == 0:
         num, den = num // 3, 1
-    upper = 8 * big_g - 4 * s - 4
+    upper = c1_square - 4 * (l - 1) - 4 * s
     window_lo = max(0, -(-num // den))
     window = [window_lo, upper] if window_lo <= upper else None
     return {
-        "G": big_g,
+        "G": c1_square // 8,
         "s": s,
         "r_max": r_max,
         "einstein_lower_bound": {"numerator": num, "denominator": den},
@@ -272,3 +257,11 @@ def example_scan(
         "integer_window": window,
         "rows": rows,
     }
+
+
+def example_scan(
+    g1: int, g1p: int, g2: int, g2p: int, s: int, r_max: int
+) -> dict:
+    """:func:`blowup_scan` of SP(g1,g1p) # SP(g2,g2p), which is resolved
+    like any expression, so its size is checked before it is built."""
+    return blowup_scan(parse_manifold(f"SP({g1},{g1p}) # SP({g2},{g2p})"), s, r_max)

@@ -213,10 +213,29 @@ def test_scan_command(capsys):
     assert len(res["rows"]) == 71
 
 
+def test_scan_takes_any_covered_pair(capsys):
+    code, report, _ = run_json(capsys, "scan", "--G-from", "K3 # SP(3,3)", "--r-max", "5")
+    assert code == 0
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["result"]["integer_window"] == [7, 28]
+
+
 def test_scan_rejects_wrong_shape(capsys):
-    code, _, err = run_cli(capsys, "scan", "--G-from", "K3 # SP(3,3)", "--r-max", "5")
-    assert code == 1
-    assert "surface products" in err
+    # One summand, or four, is outside the theorem, as for einstein.
+    assert run_cli(capsys, "scan", "--G-from", "SP(3,3)", "--r-max", "5") == (
+        2, "", "not applicable: single-summand manifolds are not covered; no bordism "
+        "verdict is established in dimension 0\n",
+    )
+    assert run_cli(capsys, "scan", "--G-from", "4*SP(3,3)", "--r-max", "5") == (
+        2, "", "not applicable: bordism class is trivial for 4 summands; the obstruction "
+        "theorems require a nontrivial class\n",
+    )
+
+
+def test_scan_needs_a_canonical_class(capsys):
+    assert run_cli(capsys, "scan", "--G-from", "SP(3,3) # ~CP2", "--r-max", "5") == (
+        1, "", "error: manifold carries no canonical spin^c structure; supply c1 explicitly\n",
+    )
 
 
 def test_scan_rejects_r_max_over_bound(capsys):
@@ -406,26 +425,30 @@ def test_import_does_not_load_fractions():
 
 
 def test_scan_huge_multiplicity_is_refused_before_expansion(capsys):
-    code, out, err = run_cli(
-        capsys, "scan", "--G-from", "999999999999999999*SP(3,3)", "--r-max", "5"
-    )
+    from fourfold.expressions import MAX_SUM_SIZE
+
+    count = 999999999999999999
+    code, out, err = run_cli(capsys, "scan", "--G-from", f"{count}*SP(3,3)", "--r-max", "5")
     assert code == 1
     assert out == ""
     assert err == (
-        "error: --G-from must contain exactly two surface products, "
-        "got 999999999999999999\n"
+        "error: connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
+        f"is {count * (1 + 38)}, over the budget of {MAX_SUM_SIZE}\n"
     )
 
 
-
-def test_scan_names_descriptor_term_by_its_path(capsys):
-    # Only the expression is parsed, so the file need not exist.
-    code, out, err = run_cli(capsys, "scan", "--G-from", "@x.json # SP(3,3)", "--r-max", "5")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: --G-from must be a connected sum of exactly two surface "
-        "products, got generator '@x.json'\n"
+def test_scan_names_descriptor_term_by_its_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--G-from", "@x.json # SP(3,3)", "--r-max", "5"]
+    # The expression is resolved, so a missing file is named by its path.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read descriptor file 'x.json': ")
+    # A descriptor that loads is outside the covered family.
+    (tmp_path / "x.json").write_text('{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1]}')
+    assert run_cli(capsys, *argv) == (
+        2, "", "not applicable: summand CUSTOM is outside the covered family "
+        "(K3 or odd-genus surface products only)\n",
     )
 
 
@@ -558,16 +581,34 @@ def test_huge_generator_is_refused_before_it_is_built(argv, size):
     assert cpu_s < 1.0
 
 
+def test_descriptor_over_the_rank_budget_is_refused_before_elimination(tmp_path):
+    from fourfold.manifolds import MAX_DESCRIPTOR_RANK
+
+    # Dense, so that eliminating it would take seconds.
+    n = MAX_DESCRIPTOR_RANK + 1
+    form = [[-1 if i == j else 1 for j in range(n)] for i in range(n)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"b1": 0, "form": form, "euler": n + 2}))
+    code, out, err, cpu_s = _run_limited("analyze", f"@{path}")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: form has {n} rows, over the rank budget of "
+        f"MAX_DESCRIPTOR_RANK = {MAX_DESCRIPTOR_RANK}\n"
+    )
+    assert cpu_s < 1.0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         # A genus the builder refuses is refused before the budget.
         (["analyze", "SP(0,99999999999) # 999999999999999999*K3"],
          "error: genus must be positive, got (0,99999999999)\n"),
-        (["scan", "--G-from", "2*SP(100000000000000002,1)", "--r-max", "5"],
-         "error: scan genera must be odd and positive, got 100000000000000002\n"),
-        (["scan", "--G-from", "2*SP(100000000000000001,1)", "--r-max", "0"],
-         "error: r_max must be positive, got 0\n"),
+        # scan resolves its expression the same way, before --r-max.
+        (["scan", "--G-from", "SP(0,99999999999) # 999999999999999999*K3", "--r-max", "5"],
+         "error: genus must be positive, got (0,99999999999)\n"),
+        (["scan", "--G-from", "999999999999999999*K3 # $", "--r-max", "0"],
+         "error: expected a generator (at offset 24)\n"),
         # A character that starts no generator is refused by the parser,
         # before anything is built.
         (["analyze", "K3 # $"], "error: expected a generator (at offset 5)\n"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
+from fourfold.expressions import parse_manifold
 from fourfold.manifolds import (
     connected_sum,
     cp2,
@@ -18,6 +19,7 @@ from fourfold.obstructions import (
     SCAN_R_MAX,
     PiRadical,
     SurfaceCandidate,
+    blowup_scan,
     einstein_nonexistence,
     embedding_obstructed,
     example_scan,
@@ -235,6 +237,43 @@ def test_example_scan_rows_match_built_manifolds(genera, s):
         assert row["hitchin_thorpe"] == hitchin_thorpe(connected_sum(m, n2))
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "expression, window",
+    [
+        ("2*SP(3,3)", [18, 60]),
+        ("K3 # SP(3,3)", [7, 28]),
+        ("3*SP(3,3)", [24, 88]),
+        ("K3 # SP(3,1) # SP(5,3)", [14, 56]),
+        ("K3 # K3", None),
+    ],
+)
+def test_blowup_scan_rows_match_built_manifolds(expression, window, s):
+    # Over the covered family, each stepped row agrees with the theorem
+    # functions evaluated on the connected sums themselves, and the
+    # closed-form window is where both verdicts hold.
+    m = parse_manifold(expression)
+    spinc = canonical_spinc(m)
+    r_max = 90
+    res = blowup_scan(m, s, r_max)
+    assert res["G"] * 8 == spinc.c1_square
+    rows = res["rows"]
+    assert [row["r"] for row in rows] == list(range(r_max + 1))
+    n2 = connected_sum(s4(), *[s1xs3()] * s)
+    for row in rows:
+        assert row["einstein_obstructed"] == einstein_nonexistence(m, spinc, n2)
+        assert row["hitchin_thorpe"] == hitchin_thorpe(connected_sum(m, n2))
+        n2 = connected_sum(n2, cp2bar())
+    both = [row["r"] for row in rows if row["einstein_obstructed"] and row["hitchin_thorpe"]]
+    if s == 0:
+        assert res["integer_window"] == window
+    if res["integer_window"] is None:
+        assert both == []
+    else:
+        lo, hi = res["integer_window"]
+        assert both == list(range(lo, hi + 1))
+
+
 def test_example_scan_at_r_max_bound_matches_closed_form():
     res = example_scan(3, 3, 3, 3, s=0, r_max=SCAN_R_MAX)
     rows = res["rows"]
@@ -269,7 +308,7 @@ def test_example_scan_empty_window_for_large_s():
 
 
 def test_example_scan_rejects_even_genus():
-    with pytest.raises(ValidationError, match="odd"):
+    with pytest.raises(UnsupportedFamilyError, match="even genus"):
         example_scan(2, 3, 3, 3, s=0, r_max=5)
 
 

@@ -28,7 +28,15 @@ from fourfold.bordism import NONTRIVIAL, SpinBordismClass, spin_bordism_class
 from fourfold.cli import main
 from fourfold.errors import IntegralityError, ShapeError, ValidationError
 from fourfold.lattice import Lattice
-from fourfold.manifolds import MAX_DESCRIPTOR_BYTES, K3, ManifoldData, Summand, k3, surface_product
+from fourfold.manifolds import (
+    MAX_DESCRIPTOR_BYTES,
+    MAX_DESCRIPTOR_RANK,
+    K3,
+    ManifoldData,
+    Summand,
+    k3,
+    surface_product,
+)
 from fourfold.obstructions import PiRadical
 from fourfold.spinc import canonical_spinc, dirac_index
 
@@ -50,6 +58,12 @@ TABLE = [
      "unknown descriptor fields: ['x']"),
     ("missing-field", {"b1": 0, "form": []}, 1, "descriptor missing required field 'euler'"),
     ("negative-b1", {"b1": -1, "form": [], "euler": 4}, 1, "b1 must be a nonnegative integer"),
+    ("rank-budget",
+     {"b1": 0, "form": [[-(i == j) for j in range(MAX_DESCRIPTOR_RANK + 1)]
+                        for i in range(MAX_DESCRIPTOR_RANK + 1)],
+      "euler": MAX_DESCRIPTOR_RANK + 3}, 1,
+     f"form has {MAX_DESCRIPTOR_RANK + 1} rows, over the rank budget of "
+     f"MAX_DESCRIPTOR_RANK = {MAX_DESCRIPTOR_RANK}"),
     ("euler-type", {"b1": 0, "form": [], "euler": "2"}, 1, "euler must be an integer"),
     ("cup1-type", {"b1": 0, "form": [], "euler": 2, "cup1": []}, 1,
      "cup1 must be an object mapping 'i,j' to integer lists"),
@@ -223,8 +237,8 @@ THEOREM_TABLE = [
      "N1 has an even definite form of rank 8" + _EVEN_N),
     ("n1-scalar", ["yamabe", "2*SP(3,3)", "--n1", "~CP2"], 2,
      "metric hypothesis not certified: N1 must be asserted to admit a metric"),
-    ("scan-genus", ["scan", "--G-from", "SP(3,3) # SP(2,3)", "--r-max", "5"], 1,
-     "scan genera must be odd and positive, got 2"),
+    ("scan-genus", ["scan", "--G-from", "SP(3,3) # SP(2,3)", "--r-max", "5"], 2,
+     "summand SP(2,3) has even genus"),
     ("scan-s", ["scan", "--G-from", "2*SP(3,3)", "--s=-1", "--r-max", "5"], 1,
      "s must be nonnegative, got -1"),
     ("scan-r-positive", ["scan", "--G-from", "2*SP(3,3)", "--r-max", "0"], 1,
