@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from itertools import compress
 from math import prod
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter
 
 from .errors import ShapeError, ValidationError
 
@@ -83,7 +84,7 @@ class Lattice(_Value):
     which checks types, squareness and symmetry.
 
     ``blocks`` holds the rows of each connected component, renumbered from
-    0 within it: found once by union-find, concatenated by
+    0 within it: found once by :func:`_components`, concatenated by
     :func:`direct_sum`, and left out of equality and hashing.
     """
 
@@ -106,23 +107,28 @@ class Lattice(_Value):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Lattice":
         """Validating constructor for an externally supplied dense Gram
-        matrix: a list of lists of ``int``, where ``bool`` is no integer."""
+        matrix: a list of lists of ``int``, where ``bool`` is no integer.
+
+        The types and the symmetry are checked by C-level passes over the
+        rows, symmetry by comparing each row with the column of its index;
+        only a mismatch looks for the first asymmetric pair in row-major
+        order, for the message."""
         if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in rows
+            isinstance(row, (list, tuple)) and _all_int(row) for row in rows
         ):
             raise ValidationError("form must be a list of lists of integers")
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ShapeError(f"form row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValidationError(
-                        f"form is not symmetric at ({i},{j}): "
-                        f"{rows[i][j]} != {rows[j][i]}"
-                    )
-        return cls(tuple(sparse(row) for row in rows))
+        if [*zip(*rows)] != [*map(tuple, rows)]:
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i]
+            )
+            raise ValidationError(
+                f"form is not symmetric at ({i},{j}): {rows[i][j]} != {rows[j][i]}"
+            )
+        return cls(tuple(map(sparse, rows)))
 
     @classmethod
     def from_upper(cls, rank: int, upper: Mapping[tuple[int, int], int]) -> "Lattice":
@@ -135,13 +141,23 @@ class Lattice(_Value):
         return cls(tuple(tuple(sorted(row.items())) for row in rows))
 
 
+_INT = {int}
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_int(values: Sequence) -> bool:
+    """Whether every value is an ``int`` and none a ``bool``: one C-level
+    pass over the types, and a walk over the values only when one is not
+    exactly ``int`` (an ``IntEnum`` member is an integer)."""
+    return {*map(type, values)} <= _INT or all(map(_is_int, values))
+
+
 def as_vector(coords: Sequence[int], name: str = "vector") -> Vector:
     """Validating constructor for an externally supplied list of ``int``."""
-    if not isinstance(coords, (list, tuple)) or not all(_is_int(x) for x in coords):
+    if not isinstance(coords, (list, tuple)) or not _all_int(coords):
         raise ValidationError(f"{name} must be a list of integers")
     return tuple(coords)
 
@@ -151,7 +167,7 @@ def zero_vector(lat: Lattice) -> Vector:
 
 
 def sparse(v: Sequence[int]) -> SparseVector:
-    return tuple((i, x) for i, x in enumerate(v) if x)
+    return tuple(zip(compress(range(len(v)), v), filter(None, v)))
 
 
 def dense(v: SparseVector, rank: int) -> Vector:
@@ -191,24 +207,31 @@ def pairing(lat: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
 
 def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
     """The rows of each connected component of the graph of nonzero
-    entries, renumbered from 0, found by union-find in O(nnz); a zero row
-    is a 1x1 zero block."""
-    root = list(range(len(rows)))
+    entries, by smallest member, renumbered from 0; a zero row is a 1x1
+    zero block.
 
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i, row in enumerate(rows):
-        for j, _ in row:
-            root[find(j)] = find(i)
-    members: dict[int, list[int]] = {}
-    for i in range(len(rows)):
-        members.setdefault(find(i), []).append(i)
+    A component grows from its smallest unseen row: each row it reaches
+    adds the unseen rows among its columns, by one set intersection, and
+    the search stops early once no row is unseen.  A form that is one
+    component is its own block."""
+    n = len(rows)
+    unseen = set(range(n))
+    first = itemgetter(0)
     blocks = []
-    for component in members.values():
+    for start in range(n):
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        component = [start]
+        for i in component:
+            if not unseen:
+                break
+            reached = unseen.intersection(map(first, rows[i]))
+            unseen -= reached
+            component += reached
+        if len(component) == n:
+            return (tuple(rows),)
+        component.sort()
         local = {i: t for t, i in enumerate(component)}
         blocks.append(tuple(tuple((local[j], x) for j, x in rows[i]) for i in component))
     return tuple(blocks)
@@ -217,51 +240,66 @@ def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
 @lru_cache(maxsize=256)
 def _block_invariants(block: Block) -> tuple[int, int, int, int]:
     """(positive, negative, zero, determinant) of one connected block, by a
-    single symmetric fraction-free (Bareiss) elimination.
+    single symmetric fraction-free (Bareiss) elimination on its upper
+    triangle.
 
     Before step k the trailing block is ``prev``, the previous pivot (a
     leading principal minor), times the Schur complement, so the LDL^T
     pivot of step k is p / prev (Jacobi's rule) and the last pivot is the
-    determinant.  A zero pivot is first swapped symmetrically with a later
-    nonzero diagonal entry; once the trailing diagonal is zero, an
-    off-diagonal (i,j) is promoted by adding row/column j to row/column i.
-    Both moves are unimodular congruences, which keep the determinant and
-    the exactness of the divisions.  An all-zero trailing block is the
-    radical.  Memoized: generator blocks (E8, H, the pairs of a surface
-    product, +-1) recur in every sum built from them."""
+    determinant.  The trailing block stays symmetric, so ``u[i]`` holds
+    row i from its diagonal on: ``u[i][t]`` is entry (i, i + t), and an
+    entry below the diagonal is read from its mirror.  A zero pivot is
+    first swapped symmetrically with a later nonzero diagonal entry; once
+    the trailing diagonal is zero, an off-diagonal (i,j) is promoted by
+    adding row/column j to row/column i.  Both moves are unimodular
+    congruences, which keep the determinant and the exactness of the
+    divisions, and each moves O(n) entries of ``u``.  A row with a zero
+    entry in the pivot's column is only rescaled.  An all-zero trailing
+    block is the radical.  Memoized: generator blocks (E8, H, the pairs
+    of a surface product, +-1) recur in every sum built from them."""
     n = len(block)
-    a = [list(dense(row, n)) for row in block]
+    u = [list(dense(row, n)[i:]) for i, row in enumerate(block)]
     pos = neg = 0
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+        if u[k][0] == 0:
+            j = next((j for j in range(k + 1, n) if u[j][0]), None)
             if j is None:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
-                )
-                if pair is None:
+                # The first nonzero row holds the first nonzero pair (i, j)
+                # in row-major order; the rows before it are zero.
+                i = next((i for i in range(k, n) if any(u[i])), None)
+                if i is None:
                     return (pos, neg, n - k, 0)
-                i, j = pair
-                # row_i += row_j, col_i += col_j: puts 2*a[i][j] on the diagonal
-                for t in range(k, n):
-                    a[i][t] += a[j][t]
-                for t in range(k, n):
-                    a[t][i] += a[t][j]
+                ri = u[i]
+                d = next(t for t, x in enumerate(ri) if x)
+                j = i + d
+                # row_i += row_j, col_i += col_j: column i gains nothing
+                # above row i, and (i, i) becomes twice (i, j).
+                for t in range(i + 1, j):
+                    ri[t - i] += u[t][j - t]
+                ri[d:] = map(add, ri[d:], u[j])
+                ri[0] = 2 * ri[d]
                 j = i
             if j != k:
-                a[k], a[j] = a[j], a[k]
-                for t in range(k, n):
-                    a[t][k], a[t][j] = a[t][j], a[t][k]
-        p = a[k][k]
+                # Swap index k with j: the diagonals, (k, t) with (t, j)
+                # for k < t < j, and the rows' tails past column j.
+                rk, rj, d = u[k], u[j], j - k
+                rk[0], rj[0] = rj[0], rk[0]
+                for t in range(k + 1, j):
+                    rk[t - k], u[t][j - t] = u[t][j - t], rk[t - k]
+                rk[d + 1:], rj[1:] = rj[1:], rk[d + 1:]
+        row_k = u[k]
+        p = row_k[0]
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        row_k = a[k][k + 1:]
-        for row in a[k + 1:]:
-            c = row[k]
-            row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], row_k)]
+        for i in range(k + 1, n):
+            c = row_k[i - k]
+            if c:
+                u[i] = [(x * p - c * y) // prev for x, y in zip(u[i], row_k[i - k:])]
+            elif p != prev:
+                u[i] = [x * p // prev for x in u[i]]
         prev = p
     return (pos, neg, 0, prev)
 

@@ -50,10 +50,13 @@ MAX_INTEGER_DIGITS = 18
 MAX_DESCRIPTOR_BYTES = 16 * 2**20
 
 # Largest rank of a descriptor's form, checked before the form is read
-# further: the determinant of a dense form costs O(rank^3).  The analyze
-# of a dense connected descriptor (n K3 blocks mixed by a unimodular
-# change of basis) took 8.1-9.6 s at rank 462 in three runs, and 7.7-12.2 s
-# at rank 484 in five (2-vCPU machine, Python 3.11).
+# further: the determinant of a dense form costs O(rank^3).  The bound
+# was set where the analyze of a dense connected descriptor (n K3 blocks
+# mixed by a unimodular change of basis) stayed under 10 s in every run
+# of an elimination over the whole matrix.  On the upper triangle it
+# takes 3.8-5.2 s at rank 462 and 0.30-0.48 s at rank 198 (CPU time of
+# `fourfold analyze` as a subprocess, three and five runs, 2-vCPU
+# machine, Python 3.11).
 MAX_DESCRIPTOR_RANK = 462
 
 
@@ -346,7 +349,8 @@ def custom(descriptor: Mapping) -> ManifoldData:
         ("b1", [(b1,)]), ("euler", [(euler,)]), ("form", descriptor["form"]),
         ("cup1", dense_cup.values()), ("c1", [c1] if c1 else []),
     ):
-        if max((max(max(v), -min(v)) for v in vectors), default=0) >= _INTEGER_BOUND:
+        if (max(map(max, vectors), default=0) >= _INTEGER_BOUND
+                or min(map(min, vectors), default=0) <= -_INTEGER_BOUND):
             raise ValidationError(f"{name} has an integer of more than {MAX_INTEGER_DIGITS} digits")
     # The Euler relation is checked before the cup lengths.
     rank = form.rank

@@ -212,6 +212,10 @@ def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
         raise ValidationError(f"r_max must be positive, got {r_max}")
     if r_max > SCAN_R_MAX:
         raise ValidationError(f"r_max must be at most {SCAN_R_MAX}, got {r_max}")
+    if manifold.canonical_c1 is None:
+        raise ValidationError(
+            "scan requires the canonical spin^c structure, which the manifold does not carry"
+        )
     spin = canonical_spinc(manifold)
     _require_nontrivial(manifold, spin)
     l = len(manifold.summands)

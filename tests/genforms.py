@@ -1,6 +1,8 @@
 """Random matrix generators shared by the lattice and property tests, the
 dense oracles that the block-wise lattice invariants and the sparse cup
-classes are checked against, and descriptors with wrongly typed fields."""
+classes are checked against, the full-matrix elimination and the
+union-find that the lattice's upper-triangle elimination and component
+search are checked against, and descriptors with wrongly typed fields."""
 
 import json
 from fractions import Fraction
@@ -162,6 +164,74 @@ def dense_inertia(rows):
                 for t in range(k, n):
                     a[t][i] -= f * a[t][k]
     return (pos, neg, 0)
+
+
+def full_block_invariants(rows):
+    """(positive, negative, zero, determinant) of a symmetric form by the
+    symmetric fraction-free (Bareiss) elimination over the whole dense
+    matrix, with the pivot moves of ``lattice._block_invariants``: a zero
+    pivot is swapped symmetrically with the next nonzero diagonal entry,
+    and once the trailing diagonal is zero the first nonzero (i, j) in
+    row-major order is promoted by adding row/column j to row/column i."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is None:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+                )
+                if pair is None:
+                    return (pos, neg, n - k, 0)
+                i, j = pair
+                for t in range(k, n):
+                    a[i][t] += a[j][t]
+                for t in range(k, n):
+                    a[t][i] += a[t][j]
+                j = i
+            if j != k:
+                a[k], a[j] = a[j], a[k]
+                for t in range(k, n):
+                    a[t][k], a[t][j] = a[t][j], a[t][k]
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        row_k = a[k][k + 1:]
+        for row in a[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(x * p - c * y) // prev for x, y in zip(row[k + 1:], row_k)]
+        prev = p
+    return (pos, neg, 0, prev)
+
+
+def union_find_components(rows):
+    """The blocks of ``lattice._components``, found by union-find over the
+    nonzero entries of the sparse rows: components by smallest member,
+    members by index, renumbered from 0."""
+    root = list(range(len(rows)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            root[find(j)] = find(i)
+    members = {}
+    for i in range(len(rows)):
+        members.setdefault(find(i), []).append(i)
+    blocks = []
+    for component in members.values():
+        local = {i: t for t, i in enumerate(component)}
+        blocks.append(tuple(tuple((local[j], x) for j, x in rows[i]) for i in component))
+    return tuple(blocks)
 
 
 def permuted(rows, perm):

@@ -234,7 +234,8 @@ def test_scan_rejects_wrong_shape(capsys):
 
 def test_scan_needs_a_canonical_class(capsys):
     assert run_cli(capsys, "scan", "--G-from", "SP(3,3) # ~CP2", "--r-max", "5") == (
-        1, "", "error: manifold carries no canonical spin^c structure; supply c1 explicitly\n",
+        1, "", "error: scan requires the canonical spin^c structure, which the manifold "
+        "does not carry\n",
     )
 
 

@@ -1,12 +1,20 @@
+import enum
+import inspect
 import random
+import re
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold.errors import ShapeError, ValidationError
 from fourfold.lattice import (
     Lattice,
+    _block_invariants,
+    _components,
+    as_vector,
     determinant,
     diagonal_lattice,
     direct_sum,
@@ -15,6 +23,7 @@ from fourfold.lattice import (
     is_negative_definite,
     pairing,
     signature,
+    sparse,
     zero_vector,
 )
 from fourfold.expressions import parse_manifold
@@ -24,13 +33,16 @@ from genforms import (
     dense_determinant,
     dense_direct_sum,
     dense_inertia,
+    full_block_invariants,
     permuted,
     random_symmetric,
     random_unimodular,
     random_unimodular_symmetric,
     solve_characteristic_mod2,
     transform,
+    union_find_components,
 )
+from test_refusals import traced
 
 HYPERBOLIC = Lattice.from_rows(((0, 1), (1, 0)))
 
@@ -328,3 +340,115 @@ def test_direct_sum_blocks_match_union_find():
         assert total.rows == reduce(direct_sum, lats).rows
         assert inertia(total) == dense_inertia(total.form)
         assert determinant(total) == dense_determinant(total.form)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """A symmetric form of rank 1-12 with entries -3..3: half of them with
+    a zero diagonal, and half degenerate, holding copies of other basis
+    vectors (each copy adds a radical direction), in a random basis
+    order."""
+    rank = draw(st.integers(1, 12))
+    copies = draw(st.integers(0, rank - 1)) if draw(st.booleans()) else 0
+    zero_diagonal = draw(st.booleans())
+    n = rank - copies
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    for _ in range(copies):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows = [row + [row[i]] for row in rows] + [rows[i] + [rows[i][i]]]
+    return permuted(rows, draw(st.permutations(range(rank))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_forms())
+def test_upper_triangle_elimination_matches_the_full_matrix(rows):
+    block = tuple(map(sparse, rows))
+    assert _block_invariants.__wrapped__(block) == full_block_invariants(rows)
+
+
+# Forms whose first pivot is zero while a later diagonal entry is not:
+# the second swaps index 0 with 2, across index 1 and with a tail.
+SWAP_FORMS = [
+    [[0, 1], [1, 1]],
+    [[0, 1, 2, 1], [1, 0, 1, 3], [2, 1, 1, 1], [1, 3, 1, 2]],
+]
+# Forms with a zero diagonal: H; a pair (0, 2) whose row gains the
+# mirror of (1, 2); a zero row before the pair (1, 2), which is then
+# swapped to the front.
+PROMOTE_FORMS = [
+    [[0, 1], [1, 0]],
+    [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+]
+
+
+def _line_of(function, text):
+    """(file, line number) of the one line of ``function`` holding ``text``."""
+    source, start = inspect.getsourcelines(function)
+    (offset,) = [t for t, line in enumerate(source) if text in line]
+    return inspect.getsourcefile(function), start + offset
+
+
+def test_hand_built_forms_reach_the_swap_and_the_promotion():
+    eliminate = _block_invariants.__wrapped__
+    swap = _line_of(eliminate, "rk[0], rj[0] = rj[0], rk[0]")
+    promote = _line_of(eliminate, "ri[0] = 2 * ri[d]")
+    for forms, line in ((SWAP_FORMS, swap), (PROMOTE_FORMS, promote)):
+        for rows in forms:
+            block = tuple(map(sparse, rows))
+            outcome, executed = traced([eliminate], lambda: eliminate(block))
+            assert outcome == full_block_invariants(rows), rows
+            assert line in executed, rows
+
+
+def test_components_match_union_find():
+    # Permuted direct sums with isolated zero rows, and random sparse
+    # forms with some rows and columns zeroed: the same blocks in the same
+    # order, by smallest member.
+    rng = random.Random(53)
+    for _ in range(150):
+        blocks = [_random_block(rng) for _ in range(rng.randint(1, 5))]
+        rows = dense_direct_sum(blocks + [[[0]]] * rng.randint(0, 3))
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        sparse_rows = tuple(map(sparse, permuted(rows, perm)))
+        assert _components(sparse_rows) == union_find_components(sparse_rows)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        rows = random_symmetric(n, rng, bound=1)
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            for j in range(n):
+                rows[i][j] = rows[j][i] = 0
+        sparse_rows = tuple(map(sparse, rows))
+        assert _components(sparse_rows) == union_find_components(sparse_rows)
+
+
+@pytest.mark.parametrize(
+    "rows, pair",
+    [
+        ([[0, 1, 2], [1, 0, 5], [3, 4, 0]], "(0,2): 2 != 3"),
+        # (1,2) comes first column by column, (0,3) row by row.
+        ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 2, 0, 0], [2, 0, 0, 0]], "(0,3): 1 != 2"),
+    ],
+)
+def test_from_rows_names_the_first_asymmetric_pair_in_row_major_order(rows, pair):
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'form is not symmetric at {pair}')}$"):
+        Lattice.from_rows(rows)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+def test_entries_may_be_int_subclasses_but_not_bool_float_or_str():
+    assert Lattice.from_rows([[_Small.ONE, 0], [0, -1]]) == Lattice.from_rows([[1, 0], [0, -1]])
+    assert as_vector([_Small.ONE, 0]) == (1, 0)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValidationError, match="^form must be a list of lists of integers$"):
+            Lattice.from_rows([[1, 0], [0, bad]])
+        with pytest.raises(ValidationError, match="^c1 must be a list of integers$"):
+            as_vector([1, bad], "c1")
+

@@ -243,10 +243,11 @@ _DIGITS_BASE = {"b1": 2, "form": [[1]], "euler": -1, "cup1": {"1,2": [1]}, "c1":
         ("b1", 10**18),
         ("euler", -(10**18)),
         ("form", [[10**18]]),
+        ("form", [[-(10**18)]]),
         ("cup1", {"1,2": [-(10**18)]}),
         ("c1", [10**4299 + 1]),
     ],
-    ids=["b1", "euler", "form", "cup1", "c1"],
+    ids=["b1", "euler", "form", "form-negative", "cup1", "c1"],
 )
 def test_custom_caps_every_integer_at_18_digits(field, value):
     custom(_DIGITS_BASE)
@@ -435,7 +436,7 @@ GENERATOR_PIECES = st.sampled_from([k3, cp2, cp2bar, s1xs3, s4]).map(
 @given(st.lists(GENERATOR_PIECES, min_size=1, max_size=5))
 def test_descriptor_round_trip_of_random_sums(pieces):
     # connected_sum skips the whole-sum checks; custom runs all of them on
-    # the exported descriptor, and finds the blocks again by union-find.
+    # the exported descriptor, and finds the blocks again by `_components`.
     m = connected_sum(*pieces)
     again = custom(descriptor_of(m))
     assert again.h2.rows == m.h2.rows

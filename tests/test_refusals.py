@@ -245,6 +245,8 @@ THEOREM_TABLE = [
      "r_max must be positive, got 0"),
     ("scan-r-bound", ["scan", "--G-from", "2*SP(3,3)", "--r-max", "100001"], 1,
      "r_max must be at most 100000, got 100001"),
+    ("scan-canonical", ["scan", "--G-from", "SP(3,3) # ~CP2", "--r-max", "5"], 1,
+     "scan requires the canonical spin^c structure, which the manifold does not carry"),
 ]
 
 
