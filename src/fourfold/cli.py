@@ -54,10 +54,10 @@ def _parse_c1(text: str) -> tuple[int, ...]:
     """The coordinates of ``--c1``; the empty text is the class of rank 0."""
     if not text:
         return ()
-    try:
-        return tuple(_integer(x) for x in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise ValidationError(f"--c1 must be a comma-separated integer list, got '{text}'") from None
+    coordinates = text.split(",")
+    if not all(map(_INTEGER.fullmatch, coordinates)):
+        raise ValidationError(f"--c1 must be a comma-separated integer list, got '{text}'")
+    return tuple(map(int, coordinates))
 
 
 def _spinc_for(m: ManifoldData, c1: tuple[int, ...] | None) -> tuple[SpinCStructure, str]:

@@ -8,10 +8,9 @@ inertia and its determinant.  No floating point touches any verdict path.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress
-from math import prod
 from operator import add, attrgetter, itemgetter
 
 from .errors import ShapeError, ValidationError
@@ -21,6 +20,8 @@ Vector = tuple[int, ...]
 # way each row of ``Lattice.rows`` is stored.
 SparseVector = tuple[tuple[int, int], ...]
 Block = tuple[SparseVector, ...]
+# (positive, negative, zero, determinant) of a form, as ``Lattice.invariants``.
+Invariants = tuple[int, int, int, int]
 
 
 class _Value:
@@ -29,7 +30,9 @@ class _Value:
     A subclass keeps its fields in ``__slots__``, sets each once in its
     constructor with ``object.__setattr__``, and names in ``_fields`` the
     ones that count: equality, hashing and repr read those, and a value
-    never equals one of another class.  Assigning or deleting an
+    never equals one of another class.  The one field set after
+    construction is ``Lattice.invariants``, which is derived from the
+    rows and filled on first read.  Assigning or deleting an
     attribute raises :class:`AttributeError`; :meth:`_trusted` builds a
     value from all its fields without the constructor's work, and
     pickling and copying go through it.
@@ -83,17 +86,27 @@ class Lattice(_Value):
     data from outside the package must come in through :meth:`from_rows`,
     which checks types, squareness and symmetry.
 
-    ``blocks`` holds the rows of each connected component, renumbered from
-    0 within it: found once by :func:`_components`, concatenated by
-    :func:`direct_sum`, and left out of equality and hashing.
+    ``invariants`` is (positive, negative, zero, determinant) of the form,
+    left out of equality, hashing and repr.  :func:`direct_sum` sets it
+    from its parts; any other lattice fills it on first read, from its
+    connected components, so that a descriptor's checks run before its
+    form is eliminated.
     """
 
-    __slots__ = ("rows", "blocks")
+    __slots__ = ("rows", "invariants")
     _fields = ("rows",)
 
-    def __init__(self, rows: tuple[SparseVector, ...], blocks: tuple[Block, ...] | None = None):
+    def __init__(self, rows: tuple[SparseVector, ...]):
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "blocks", _components(rows) if blocks is None else blocks)
+
+    def __getattr__(self, name: str):
+        # Called only where the usual lookup fails, as for an unset slot:
+        # ``invariants`` is filled, and any other name fails as usual.
+        if name != "invariants":
+            return object.__getattribute__(self, name)
+        invariants = _add_invariants(map(_block_invariants, _components(self.rows)))
+        object.__setattr__(self, "invariants", invariants)
+        return invariants
 
     @property
     def rank(self) -> int:
@@ -184,12 +197,26 @@ def diagonal_lattice(entries: Sequence[int]) -> Lattice:
 def direct_sum(*lattices: Lattice) -> Lattice:
     """Orthogonal direct sum: each lattice's rows follow the previous ones',
     shifted by their ranks (the first lattice's row tuples are kept as
-    they are); the blocks are concatenated, not recomputed."""
+    they are); the invariants are added up from the parts', not
+    recomputed."""
     rows: list[SparseVector] = []
     for lat in lattices:
         off = len(rows)
         rows.extend(tuple((j + off, x) for j, x in row) if off else row for row in lat.rows)
-    return Lattice(tuple(rows), tuple(b for lat in lattices for b in lat.blocks))
+    return Lattice._trusted(tuple(rows), _add_invariants(lat.invariants for lat in lattices))
+
+
+def _add_invariants(parts: Iterable[Invariants]) -> Invariants:
+    """The invariants of an orthogonal sum from its parts': by Sylvester's
+    law of inertia the sign counts add, and the determinants multiply."""
+    pos = neg = zero = 0
+    det = 1
+    for p, n, z, d in parts:
+        pos += p
+        neg += n
+        zero += z
+        det *= d
+    return (pos, neg, zero, det)
 
 
 def _check_length(lat: Lattice, v: Sequence[int], name: str) -> None:
@@ -238,7 +265,7 @@ def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
 
 
 @lru_cache(maxsize=256)
-def _block_invariants(block: Block) -> tuple[int, int, int, int]:
+def _block_invariants(block: Block) -> Invariants:
     """(positive, negative, zero, determinant) of one connected block, by a
     single symmetric fraction-free (Bareiss) elimination on its upper
     triangle.
@@ -255,8 +282,16 @@ def _block_invariants(block: Block) -> tuple[int, int, int, int]:
     congruences, which keep the determinant and the exactness of the
     divisions, and each moves O(n) entries of ``u``.  A row with a zero
     entry in the pivot's column is only rescaled.  An all-zero trailing
-    block is the radical.  Memoized: generator blocks (E8, H, the pairs
-    of a surface product, +-1) recur in every sum built from them."""
+    block is the radical.
+
+    Memoized for descriptor files that are read again: each read builds
+    its lattice anew, and the lattice fills its invariants here.  The
+    bench's ``queries`` workload reads each of its 12 dense descriptors
+    (a connected block of rank 20 or 22) three times a round.  Each read
+    past the first would eliminate that block again, 0.42-0.63 ms, where
+    the whole load that hits the memo takes 0.38-0.71 ms (best of 20,
+    2-vCPU Xeon, Python 3.11).  A sum never calls this, and a generator
+    fills its invariants once."""
     n = len(block)
     u = [list(dense(row, n)[i:]) for i, row in enumerate(block)]
     pos = neg = 0
@@ -304,22 +339,21 @@ def _block_invariants(block: Block) -> tuple[int, int, int, int]:
     return (pos, neg, 0, prev)
 
 
-@lru_cache(maxsize=64)
+# The decorator stores and hashes nothing: it stays only as the call
+# counter that the bench's trace mode reads (``inertia.cache_clear()`` and
+# ``inertia.cache_info()`` in bench/child.py).  ROADMAP item 1b deletes it
+# together with those two calls.
+@lru_cache(maxsize=0)
 def inertia(lat: Lattice) -> tuple[int, int, int]:
-    """Return (positive, negative, zero) inertia indices of the form: the
-    sums over its blocks, by Sylvester's law, which also makes the sign
-    counts basis independent.
-
-    Cached: connected-sum pipelines evaluate several invariants of the
-    same lattice in a row.  A hit hashes the sparse rows, O(nnz).
-    """
-    per_block = [_block_invariants(b) for b in lat.blocks]
-    return tuple(sum(inv[t] for inv in per_block) for t in range(3))
+    """Return (positive, negative, zero) inertia indices of the form, read
+    off ``lat.invariants``: sums over its blocks, by Sylvester's law, which
+    also makes the sign counts basis independent."""
+    return lat.invariants[:3]
 
 
 def signature(lat: Lattice) -> int:
     """b+ minus b-; zero directions of a degenerate form contribute 0."""
-    pos, neg, _ = inertia(lat)
+    pos, neg, _, _ = lat.invariants
     return pos - neg
 
 
@@ -330,7 +364,7 @@ def is_negative_definite(lat: Lattice) -> bool:
     form only; a manifold may have b1 > 0 and still count as negative
     definite here.
     """
-    pos, _, zero = inertia(lat)
+    pos, _, zero, _ = lat.invariants
     return pos == 0 and zero == 0
 
 
@@ -343,5 +377,6 @@ def is_characteristic(lat: Lattice, c: Sequence[int]) -> bool:
 
 
 def determinant(lat: Lattice) -> int:
-    """Exact determinant of the Gram matrix: the product over its blocks."""
-    return prod(_block_invariants(b)[3] for b in lat.blocks)
+    """Exact determinant of the Gram matrix, read off ``lat.invariants``:
+    the product over its blocks."""
+    return lat.invariants[3]

@@ -132,7 +132,8 @@ def _e8_form(sign: int) -> Lattice:
 
 
 # Generators are built on first call and shared: no code mutates a
-# ManifoldData, and their blocks are what the lattice block memo hits.
+# ManifoldData, so each generator's form fills its invariants once, and a
+# connected sum adds them up.
 @cache
 def k3() -> ManifoldData:
     """The K3 surface: b1 = 0, chi = 24, form 2E8(-1) + 3H, tau = -16."""

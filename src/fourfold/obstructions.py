@@ -220,6 +220,7 @@ def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
     _require_nontrivial(manifold, spin)
     l = len(manifold.summands)
     c1_square = spin.c1_square
+    tau = signature(manifold.h2)
 
     def profile(x: ManifoldData) -> tuple[int, int, int]:
         pos, neg, _ = inertia(x.h2)
@@ -238,7 +239,7 @@ def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
             {
                 "r": r,
                 "einstein_obstructed": _einstein_obstructed(l, c1_square, chi2, pos2, tau2),
-                "hitchin_thorpe": _hitchin_thorpe(manifold.euler + chi2 - 2, spin.tau + tau2),
+                "hitchin_thorpe": _hitchin_thorpe(manifold.euler + chi2 - 2, tau + tau2),
             }
         )
         chi2 += chi_b - 2

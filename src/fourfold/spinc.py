@@ -30,8 +30,8 @@ class SpinCStructure(_Value):
     :func:`canonical_spinc`.
 
     The facts of the pair that cannot fail are derived once, on the
-    manifold the structure is built on: ``c1_square`` = c1^2, ``tau``
-    (the signature), ``pairings`` (the nonzero cup pairings of
+    manifold the structure is built on: ``c1_square`` = c1^2, ``pairings``
+    (the nonzero cup pairings of
     :func:`cup_pairing_matrix`), ``dirac_index``, ``moduli_dimension``,
     ``chern`` (half the pairings, None if one is odd) and ``condition``.
     Equality and hashing read ``c1`` only.  The functions of this module
@@ -39,14 +39,14 @@ class SpinCStructure(_Value):
     manifold, as :func:`pairing` does for a vector.
     """
 
-    __slots__ = ("c1", "c1_square", "tau", "pairings", "dirac_index", "moduli_dimension",
-                 "chern", "condition")
+    __slots__ = ("c1", "c1_square", "pairings", "dirac_index", "moduli_dimension", "chern",
+                 "condition")
     _fields = ("c1",)
 
     def __init__(self, c1: Vector, manifold: ManifoldData):
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c1_square", c1_square := pairing(manifold.h2, c1, c1))
-        object.__setattr__(self, "tau", tau := signature(manifold.h2))
+        tau = signature(manifold.h2)
         object.__setattr__(self, "pairings", pairings := cup_pairing_matrix(manifold, self))
         # Both divisions are exact on a unimodular form: a characteristic
         # c1 has c1^2 = tau mod 8 (van der Blij), and chi + tau =
@@ -125,7 +125,7 @@ def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
 
 def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:
     """Index of the spin^c Dirac operator: (c1^2 - tau) / 8."""
-    _check_length(manifold.h2, s.c1, "x")
+    _check_length(manifold.h2, s.c1, "c1")
     return s.dirac_index
 
 
@@ -137,7 +137,7 @@ def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[
     is then a dot product with a sparse cup class, so the cost is
     O(rank + nnz of those rows + len(cup1)) and no b1 x b1 matrix is built.
     :class:`SpinCStructure` calls it once and keeps the result."""
-    _check_length(manifold.h2, s.c1, "x")
+    _check_length(manifold.h2, s.c1, "c1")
     rows = manifold.h2.rows
     q_c1: dict[int, int] = {}
     for i, c in enumerate(s.c1):
@@ -160,7 +160,7 @@ def index_chern_form(manifold: ManifoldData, s: SpinCStructure) -> TorusTwoForm:
     and flags corrupt input data; the error names the first odd entry of
     the dense matrix in row-major order.
     """
-    _check_length(manifold.h2, s.c1, "x")
+    _check_length(manifold.h2, s.c1, "c1")
     if s.chern is None:
         i, j = min(key for key, x in s.pairings.items() if x % 2)
         raise IntegralityError(
@@ -179,5 +179,5 @@ def spin_condition(manifold: ManifoldData, s: SpinCStructure) -> SpinCondition:
 def moduli_dimension(manifold: ManifoldData, s: SpinCStructure) -> int:
     """Expected dimension of the monopole moduli space,
     d = (c1^2 - 2*chi - 3*tau) / 4."""
-    _check_length(manifold.h2, s.c1, "x")
+    _check_length(manifold.h2, s.c1, "c1")
     return s.moduli_dimension

@@ -1,11 +1,14 @@
 """What the benchmark under ``bench/`` reads of the program: its self-check
-passes, the ``inertia`` cache can be cleared and inspected, and a resolved
-manifold's dense form is a tuple of integer tuples."""
+passes, its trace mode serves each workload correctly, the ``inertia``
+cache can be cleared and inspected, and a resolved manifold's dense form
+is a tuple of integer tuples."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fourfold.lattice
 from fourfold.expressions import parse_manifold
@@ -23,6 +26,20 @@ def test_bench_self_check_passes():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1])["ok"] is True
+
+
+@pytest.mark.parametrize("workload", ["queries", "scan", "rank_ladder"])
+def test_bench_trace_mode_serves_the_workload_correctly(workload):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True
 
 
 def test_inertia_cache_is_inspectable():

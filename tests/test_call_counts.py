@@ -244,10 +244,24 @@ def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):
 def test_analyze_k3_sum_eliminates_two_distinct_blocks(capsys):
     block_invariants = fourfold.lattice._block_invariants
     block_invariants.cache_clear()
+    k3.cache_clear()
     assert main(["analyze", "20*K3", "--json"]) == 0
     capsys.readouterr()
-    # E8(-1) and the hyperbolic plane H; every other block is a hit.
+    # E8(-1) and the hyperbolic plane H, when K3 is built; every other
+    # block is a hit, and the sum adds up K3's invariants.
     assert block_invariants.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("expression", ["20*K3", "K3 # 438*~CP2"])
+def test_sums_never_search_for_components(monkeypatch, capsys, expression):
+    # Once the generators are built, a sum takes its invariants from its
+    # pieces and never looks for the components of its form.
+    parse_manifold(expression)
+    searches = Counter()
+    count_calls(monkeypatch, searches, "fourfold.lattice", "_components")
+    assert main(["analyze", expression, "--json"]) == 0
+    capsys.readouterr()
+    assert searches["_components"] == 0
 
 
 def test_generators_are_built_once_and_descriptors_never_cached():

@@ -302,6 +302,24 @@ def test_direct_sum_does_not_pad():
     )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Lattice.from_rows([[2, 1], [1, 2]]),
+        lambda: Lattice.from_upper(2, {(0, 0): 2, (0, 1): 1, (1, 1): 2}),
+        lambda: Lattice((((0, 2), (1, 1)), ((0, 1), (1, 2)))),
+    ],
+    ids=["from_rows", "from_upper", "rows"],
+)
+def test_invariants_are_filled_on_first_read(build):
+    # No constructor eliminates: a descriptor's checks run first.
+    lat = build()
+    with pytest.raises(AttributeError):
+        Lattice.invariants.__get__(lat)
+    assert lat.invariants == (2, 0, 0, 3)
+    assert Lattice.invariants.__get__(lat) == (2, 0, 0, 3)
+
+
 def test_direct_sum_keeps_first_part_rows():
     # Only the rows after the first part are shifted; the first part's
     # row tuples are shared, as a connected sum shares its first piece's
@@ -329,15 +347,19 @@ def _random_lattice(rng):
     return Lattice.from_rows(permuted(rows, perm))
 
 
-def test_direct_sum_blocks_match_union_find():
+def test_direct_sum_invariants_match_a_fresh_fill():
+    # A sum adds up its parts' invariants; a lattice of the same rows
+    # fills them from its components, and the dense elimination of the
+    # whole matrix finds them again.
     rng = random.Random(47)
     for _ in range(100):
         lats = [_random_lattice(rng) for _ in range(rng.randint(1, 5))]
         total = direct_sum(*lats)
         recomputed = Lattice(total.rows)
-        assert sorted(total.blocks) == sorted(recomputed.blocks)
+        assert total.invariants == recomputed.invariants == full_block_invariants(total.form)
         assert total == recomputed and hash(total) == hash(recomputed)
-        assert total.rows == reduce(direct_sum, lats).rows
+        folded = reduce(direct_sum, lats)
+        assert (total.rows, total.invariants) == (folded.rows, folded.invariants)
         assert inertia(total) == dense_inertia(total.form)
         assert determinant(total) == dense_determinant(total.form)
 

@@ -341,7 +341,7 @@ def test_nary_connected_sum_equals_pairwise_fold():
         total = connected_sum(*pieces)
         assert total.b1 == folded.b1
         assert total.h2.rows == folded.h2.rows
-        assert total.h2.blocks == folded.h2.blocks
+        assert total.h2.invariants == folded.h2.invariants
         assert total.cup1 == folded.cup1
         assert total.euler == folded.euler
         assert total.summands == folded.summands
@@ -422,7 +422,7 @@ def test_custom_raises_only_validation_errors(descriptor):
         m = custom(descriptor)
     except ValidationError:
         return
-    assert sorted(m.h2.blocks) == sorted(Lattice(m.h2.rows).blocks)
+    assert m.h2.invariants == Lattice(m.h2.rows).invariants
     assert abs(determinant(m.h2)) == 1
     assert inertia(m.h2)[2] == 0
 
@@ -436,15 +436,14 @@ GENERATOR_PIECES = st.sampled_from([k3, cp2, cp2bar, s1xs3, s4]).map(
 @given(st.lists(GENERATOR_PIECES, min_size=1, max_size=5))
 def test_descriptor_round_trip_of_random_sums(pieces):
     # connected_sum skips the whole-sum checks; custom runs all of them on
-    # the exported descriptor, and finds the blocks again by `_components`.
+    # the exported descriptor, and fills the invariants again from its
+    # components by `_components`.
     m = connected_sum(*pieces)
     again = custom(descriptor_of(m))
     assert again.h2.rows == m.h2.rows
     assert (again.b1, again.cup1, again.euler) == (m.b1, m.cup1, m.euler)
     assert again.canonical_c1 == m.canonical_c1
-    # Past inertia's own cache, which equal lattices would share.
-    assert inertia.__wrapped__(again.h2) == inertia.__wrapped__(m.h2)
-    assert determinant(again.h2) == determinant(m.h2)
+    assert again.h2.invariants == m.h2.invariants
 
 
 def test_generator_rank_is_the_built_rank():
@@ -486,7 +485,12 @@ def test_value_equality_reads_fields_and_class():
     assert Summand(SP, (3, 3)) != Summand(SP, (3, 5))
     assert Summand("K3") != "K3" and Summand("K3") != ("K3", None, None, None)
     assert repr(Summand(SP, (3, 3))) == "Summand(kind='SP', genera=(3, 3), label=None, path=None)"
-    # The blocks of a lattice are derived from its rows and do not count.
+    # The invariants of a lattice are derived from its rows and do not
+    # count: a lattice whose invariants are not filled yet equals one whose
+    # are, with the same hash and repr, and neither fills the other's.
     h2 = k3().h2
-    again = Lattice(h2.rows, ())
+    again = Lattice(h2.rows)
     assert again == h2 and hash(again) == hash(h2) and repr(again) == repr(h2)
+    with pytest.raises(AttributeError):
+        Lattice.invariants.__get__(again)
+    assert again.invariants == h2.invariants

@@ -13,17 +13,27 @@ The same holds for every ``raise`` in :mod:`fourfold.bordism` and
 :mod:`fourfold.spinc` and :mod:`fourfold.lattice`.  A row there is a
 request wherever a request reaches the ``raise``, and a library call
 otherwise.  Rows may share a ``raise``: the Donaldson refusal is reached
-from ``yamabe`` and from ``einstein``.
+from ``yamabe`` and from ``einstein``.  A fourth table covers the rest of
+the package: :mod:`fourfold.cli`, :mod:`fourfold.expressions`,
+:func:`fourfold.report._write_json` and
+:func:`fourfold.manifolds.surface_product_rank`.
+
+No row of the gate's table but the determinant's eliminates a block: the
+unimodularity check is the first elimination a descriptor pays for.
 """
 
+import argparse
 import ast
 import inspect
 import json
 import os
 import sys
 import textwrap
+from collections import Counter
 
-from fourfold import bordism, lattice, manifolds, obstructions, spinc
+import pytest
+
+from fourfold import bordism, cli, expressions, lattice, manifolds, obstructions, report, spinc
 from fourfold.bordism import NONTRIVIAL, SpinBordismClass, spin_bordism_class
 from fourfold.cli import main
 from fourfold.errors import IntegralityError, ShapeError, ValidationError
@@ -142,6 +152,17 @@ def traced(objects, call):
     return outcome, executed
 
 
+def write_descriptor(path, content):
+    """Write a row's file content to ``path``, as :data:`TABLE` says."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, int):
+        path.write_bytes(b"")
+        os.truncate(path, content)  # sparse: no disk and no memory
+    elif content is not None:
+        path.write_text(json.dumps(content))
+
+
 def run_traced(capsys, path):
     """Exit code, stderr and the lines of the gate's functions that
     ``fourfold analyze @path`` executed."""
@@ -156,13 +177,7 @@ def test_every_raise_of_the_gate_has_one_row_that_reaches_it(capsys, tmp_path):
     reached = {}
     for row_id, content, code, message in TABLE:
         path = tmp_path / f"{row_id}.json"
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        elif isinstance(content, int):
-            path.write_bytes(b"")
-            os.truncate(path, content)  # sparse: no disk and no memory
-        elif content is not None:
-            path.write_text(json.dumps(content))
+        write_descriptor(path, content)
         got_code, err, executed = run_traced(capsys, path)
         assert got_code == code, (row_id, err)
         assert err.startswith("error: " + message.format(path=path)), (row_id, err)
@@ -174,6 +189,44 @@ def test_every_raise_of_the_gate_has_one_row_that_reaches_it(capsys, tmp_path):
         reached[line] = row_id
     missing = [lines[line] for line in sorted(lines.keys() - reached.keys())]
     assert not missing, f"raises without a row: {missing}"
+
+
+def count_eliminations(monkeypatch) -> Counter:
+    """Count the blocks eliminated from now on, through the one name the
+    lattice module calls."""
+    counts = Counter()
+    eliminate = lattice._block_invariants
+
+    def counting(block):
+        counts["blocks"] += 1
+        return eliminate(block)
+
+    monkeypatch.setattr(lattice, "_block_invariants", counting)
+    return counts
+
+
+@pytest.mark.parametrize("row", TABLE, ids=[row[0] for row in TABLE])
+def test_the_gate_eliminates_no_block_before_the_determinant(monkeypatch, capsys, tmp_path,
+                                                              row):
+    row_id, content, code, message = row
+    path = tmp_path / f"{row_id}.json"
+    write_descriptor(path, content)
+    eliminated = count_eliminations(monkeypatch)
+    assert main(["analyze", f"@{path}"]) == code
+    capsys.readouterr()
+    assert eliminated["blocks"] == (1 if row_id == "unimodular" else 0)
+
+
+def test_a_dense_form_at_the_rank_budget_is_refused_by_the_digit_cap_uneliminated(
+    monkeypatch,
+):
+    n = MAX_DESCRIPTOR_RANK
+    descriptor = {"b1": 0, "form": [[1 + (i == j) for j in range(n)] for i in range(n)],
+                  "euler": n + 2, "c1": [10**18] + [0] * (n - 1)}
+    eliminated = count_eliminations(monkeypatch)
+    with pytest.raises(ValidationError, match="^c1 has an integer of more than 18 digits$"):
+        manifolds.custom(descriptor)
+    assert eliminated["blocks"] == 0
 
 
 
@@ -316,7 +369,7 @@ SPINC_TABLE = [
      "form is not symmetric at (0,1): 1 != 2"),
     ("vector-type", ["analyze", "@c1-type.json"], 1, "c1 must be a list of integers"),
     ("rank", lambda: dirac_index(k3(), canonical_spinc(surface_product(1, 1))), ShapeError,
-     "x has length 6, lattice rank is 22"),
+     "c1 has length 6, lattice rank is 22"),
 ]
 
 
@@ -330,3 +383,39 @@ def test_every_raise_of_spinc_and_lattice_is_reached_by_a_row(capsys, monkeypatc
         (tmp_path / name).write_text(json.dumps(descriptor))
     monkeypatch.chdir(tmp_path)
     reach_every_raise(capsys, SPINC, SPINC_TABLE)
+
+
+# The rest of the package: the command line, the expression parser, the
+# JSON writer and the closed-form rank of a surface product.
+REST = (cli, expressions, report._write_json, manifolds.surface_product_rank)
+
+# (id, argv or library call, exit code or exception type, message), as in
+# THEOREM_TABLE.  No request reaches ``_integer``'s refusal alone:
+# argparse turns it into a call of the parser's ``error``.
+REST_TABLE = [
+    ("argparse-error", ["genus", "K3"], 1, "the following arguments are required: --self-int"),
+    ("integer-option", lambda: cli._integer("x"), argparse.ArgumentTypeError,
+     "invalid int value: 'x'"),
+    ("c1-syntax", ["star", "K3", "--c1=1,x"], 1,
+     "--c1 must be a comma-separated integer list, got '1,x'"),
+    ("analyze-explicit-c1", ["analyze", "K3", "--c1="], 1, "c1 has length 0, form rank is 22"),
+    ("expect", ["analyze", "K3 % K3"], 1, "expected '#' (at offset 3)"),
+    ("integer", ["analyze", "SP(,1)"], 1, "expected an integer (at offset 3)"),
+    ("integer-digits", ["analyze", "SP(1234567890123456789,1)"], 1,
+     "integer has more than 18 digits (at offset 3)"),
+    ("file-path", ["analyze", "K3 # @"], 1, "expected a file path after '@' (at offset 6)"),
+    ("term-at-end", ["analyze", "K3 #"], 1, "expected a generator (at offset 4)"),
+    ("multiplicity", ["analyze", "0*K3"], 1, "multiplicity must be positive (at offset 1)"),
+    ("no-generator", ["analyze", "K3 # ,"], 1, "expected a generator (at offset 5)"),
+    ("unknown-generator", ["analyze", "K3 # ~Foo"], 1, "unknown generator '~Foo' (at offset 5)"),
+    ("sum-size", ["analyze", "1000000*K3"], 1,
+     "connected sum too large: the sum of count*(1 + rank(H2)) over the terms is 23000000, "
+     "over the budget of 1000000"),
+    ("json-type", lambda: report._write_json(object(), "\n", [], json.dumps), TypeError,
+     "Object of type object is not JSON serializable"),
+    ("genus", ["analyze", "SP(0,1)"], 1, "genus must be positive, got (0,1)"),
+]
+
+
+def test_every_raise_of_the_rest_is_reached_by_a_row(capsys):
+    reach_every_raise(capsys, REST, REST_TABLE)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fourfold.cli import main
 from fourfold.errors import IntegralityError, ShapeError, ValidationError
-from fourfold.lattice import pairing
+from fourfold.lattice import pairing, signature
 from fourfold.manifolds import connected_sum, cp2bar, custom, k3, surface_product
 from fourfold.report import spinc_summary
 from fourfold.spinc import (
@@ -99,8 +99,9 @@ def test_canonical_spinc_missing():
 
 def test_structure_of_another_rank_raises_shape_error():
     other = canonical_spinc(surface_product(1, 1))
-    for fact in (dirac_index, moduli_dimension):
-        with pytest.raises(ShapeError, match="x has length 6, lattice rank is 22"):
+    # The error names the structure's c1, at each of the four checks.
+    for fact in (dirac_index, moduli_dimension, cup_pairing_matrix, index_chern_form):
+        with pytest.raises(ShapeError, match="^c1 has length 6, lattice rank is 22$"):
             fact(k3(), other)
 
 
@@ -337,5 +338,6 @@ def test_admitted_descriptors_have_integral_index_and_dimension(odd, h, e8, b1, 
     c1 = solve_characteristic_mod2(form, rng)
     m = custom({"b1": b1, "form": form, "euler": 2 - 2 * b1 + len(form), "c1": list(c1)})
     s = canonical_spinc(m)
-    assert (s.c1_square - s.tau) % 8 == 0
-    assert (s.c1_square - 2 * m.euler - 3 * s.tau) % 4 == 0
+    tau = signature(m.h2)
+    assert (s.c1_square - tau) % 8 == 0
+    assert (s.c1_square - 2 * m.euler - 3 * tau) % 4 == 0
