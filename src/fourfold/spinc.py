@@ -31,10 +31,11 @@ class SpinCStructure(_Value):
 
     The facts of the pair that cannot fail are derived once, on the
     manifold the structure is built on: ``c1_square`` = c1^2, ``pairings``
-    (the nonzero cup pairings of
-    :func:`cup_pairing_matrix`), ``dirac_index``, ``moduli_dimension``,
-    ``chern`` (half the pairings, None if one is odd) and ``condition``.
-    Equality and hashing read ``c1`` only.  The functions of this module
+    (the nonzero cup pairings of :func:`cup_pairing_matrix`),
+    ``dirac_index``, ``moduli_dimension``, ``chern`` (half the pairings,
+    None if one is odd) and ``condition``.  The signature is the form's:
+    :func:`signature` reads it off the lattice.  Equality and hashing
+    read ``c1`` only.  The functions of this module
     raise :class:`ShapeError` for a structure of another rank than the
     manifold, as :func:`pairing` does for a vector.
     """
