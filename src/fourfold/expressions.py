@@ -24,9 +24,10 @@ from .manifolds import (
     SP,
     ManifoldData,
     Summand,
+    admit_descriptor,
     connected_sum,
     generator_rank,
-    load_descriptor,
+    read_descriptor,
 )
 
 
@@ -170,10 +171,12 @@ MAX_SUM_SIZE = 1_000_000
 
 def resolve(expr: ManifoldExpression) -> ManifoldData:
     """Size each term in closed form (:func:`generator_rank`; only a
-    descriptor is loaded for it), refuse a sum whose size, the sum of
-    count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
-    then build each generator once and take the connected sum of all the
-    pieces in one call, left to right.
+    descriptor is read for it, and checked for every invariant but
+    unimodularity), refuse a sum whose size, the sum of count*(1 + rank(H2))
+    over its terms, exceeds :data:`MAX_SUM_SIZE`, then check each
+    descriptor's unimodularity (the first check that eliminates a form),
+    build each generator once and take the connected sum of all the pieces
+    in one call, left to right.
 
     ``expr`` is what :func:`parse` returns: at least one term, each with
     a count of at least 1, so the sum has at least one piece."""
@@ -181,8 +184,8 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
     for term in expr.terms:
         gen = term.gen
         if gen.kind == CUSTOM:
-            piece = load_descriptor(gen.path)
-            sized.append((term, piece, piece.h2.rank))
+            data, piece = read_descriptor(gen.path)
+            sized.append((term, (data, piece), piece.h2.rank))
         else:
             sized.append((term, None, generator_rank(gen)))
     size = sum(term.count * (1 + rank) for term, _, rank in sized)
@@ -192,9 +195,11 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
             f"is {size}, over the budget of {MAX_SUM_SIZE}"
         )
     pieces = []
-    for term, piece, _ in sized:
-        if piece is None:
+    for term, read, _ in sized:
+        if read is None:
             piece = GENERATORS[term.gen.kind](*(term.gen.genera or ()))
+        else:
+            piece = admit_descriptor(*read)
         pieces += [piece] * term.count
     return connected_sum(*pieces)
 

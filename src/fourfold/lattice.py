@@ -264,7 +264,6 @@ def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-@lru_cache(maxsize=256)
 def _block_invariants(block: Block) -> Invariants:
     """(positive, negative, zero, determinant) of one connected block, by a
     single symmetric fraction-free (Bareiss) elimination on its upper
@@ -284,14 +283,10 @@ def _block_invariants(block: Block) -> Invariants:
     entry in the pivot's column is only rescaled.  An all-zero trailing
     block is the radical.
 
-    Memoized for descriptor files that are read again: each read builds
-    its lattice anew, and the lattice fills its invariants here.  The
-    bench's ``queries`` workload reads each of its 12 dense descriptors
-    (a connected block of rank 20 or 22) three times a round.  Each read
-    past the first would eliminate that block again, 0.42-0.63 ms, where
-    the whole load that hits the memo takes 0.38-0.71 ms (best of 20,
-    2-vCPU Xeon, Python 3.11).  A sum never calls this, and a generator
-    fills its invariants once."""
+    Nothing is memoized here.  A sum never calls this, a surface product
+    has its invariants in closed form, K3 and the 1x1 generators fill
+    theirs once per process, and a descriptor file whose bytes passed the
+    gate before is not validated again (``manifolds.read_descriptor``)."""
     n = len(block)
     u = [list(dense(row, n)[i:]) for i, row in enumerate(block)]
     pos = neg = 0

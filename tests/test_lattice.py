@@ -388,7 +388,17 @@ def symmetric_forms(draw):
 @given(symmetric_forms())
 def test_upper_triangle_elimination_matches_the_full_matrix(rows):
     block = tuple(map(sparse, rows))
-    assert _block_invariants.__wrapped__(block) == full_block_invariants(rows)
+    assert _block_invariants(block) == full_block_invariants(rows)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_surface_product_invariants_in_closed_form_match_the_elimination(g):
+    for gp in range(1, 7):
+        form = surface_product(g, gp).h2
+        half = 1 + 2 * g * gp
+        assert form.invariants == (half, half, 0, -1)
+        assert Lattice(form.rows).invariants == form.invariants
+        assert full_block_invariants(form.form) == form.invariants
 
 
 # Forms whose first pivot is zero while a later diagonal entry is not:
@@ -415,7 +425,7 @@ def _line_of(function, text):
 
 
 def test_hand_built_forms_reach_the_swap_and_the_promotion():
-    eliminate = _block_invariants.__wrapped__
+    eliminate = _block_invariants
     swap = _line_of(eliminate, "rk[0], rj[0] = rj[0], rk[0]")
     promote = _line_of(eliminate, "ri[0] = 2 * ri[d]")
     for forms, line in ((SWAP_FORMS, swap), (PROMOTE_FORMS, promote)):

@@ -1,14 +1,18 @@
 import copy
+import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourfold.errors import ValidationError
+from fourfold import manifolds
 from fourfold.lattice import Lattice, determinant, inertia, pairing, signature, zero_vector
 from fourfold.manifolds import (
+    MAX_VALIDATED_DESCRIPTORS,
     GENERATORS,
     SP,
     ManifoldData,
@@ -74,6 +78,33 @@ def test_surface_product_profile():
         assert (c1[0], c1[1]) == (2 * (1 - g), 2 * (1 - gp))
         assert not any(c1[2:])
         assert pairing(m.h2, c1, c1) == 8 * (1 - g) * (1 - gp)
+
+
+def _symplectic(i, k):
+    """<u_i u_k> on one factor's basis x_1, y_1, ..., with <x_t y_t> = 1."""
+    if k == i + 1 and i % 2 == 0:
+        return 1
+    if k == i - 1 and i % 2 == 1:
+        return -1
+    return 0
+
+
+@pytest.mark.parametrize("g, gp", [(1, 1), (1, 2), (2, 3), (3, 1)])
+def test_surface_product_form_follows_the_basis_conventions(g, gp):
+    # alpha.alpha' = 1, alpha^2 = alpha'^2 = 0, and
+    # (u x v).(u' x v') = -<u u'> <v v'>, as surface_product's docstring says.
+    n1, n2 = 2 * g, 2 * gp
+    rank = 2 + n1 * n2
+    expected = [[0] * rank for _ in range(rank)]
+    expected[0][1] = expected[1][0] = 1
+    for i in range(n1):
+        for j in range(n2):
+            for k in range(n1):
+                for l in range(n2):
+                    expected[2 + i * n2 + j][2 + k * n2 + l] = (
+                        -_symplectic(i, k) * _symplectic(j, l)
+                    )
+    assert surface_product(g, gp).h2.form == tuple(map(tuple, expected))
 
 
 def test_surface_product_canonical_c1_square_spec_value():
@@ -296,6 +327,102 @@ def test_load_descriptor(tmp_path):
     bad.write_text("not json")
     with pytest.raises(ValidationError, match="JSON"):
         load_descriptor(str(bad))
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Count the descriptor gate's checks and JSON decodings from an empty
+    memo of validated descriptors."""
+    monkeypatch.setattr(manifolds, "_VALIDATED", {})
+    counts = Counter()
+    for module, name in ((manifolds, "_checked"), (json, "loads")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+_BLOWN = b'{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}'
+
+
+def test_descriptor_bytes_are_validated_once(tmp_path, gate_calls):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_bytes(_BLOWN)
+    second.write_bytes(_BLOWN)
+    pieces = [load_descriptor(str(p)) for p in (first, first, second)]
+    # The same bytes under a second path are the same piece: it holds no path.
+    assert pieces[0] is pieces[1] is pieces[2]
+    assert gate_calls == {"_checked": 1, "loads": 1}
+
+
+def test_rewritten_descriptor_is_validated_again(tmp_path, gate_calls):
+    path = tmp_path / "m.json"
+    path.write_bytes(_BLOWN)
+    before = load_descriptor(str(path))
+    path.write_bytes(_BLOWN.replace(b"blown", b"other"))
+    after = load_descriptor(str(path))
+    assert gate_calls["_checked"] == 2
+    assert (before.summands[0].label, after.summands[0].label) == ("blown", "other")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"b1": 0, "form": [[2]], "euler": 3}', "form determinant is 2"),
+        (b'{"b1": 0, "form": [[-1]], "euler": 5}', "euler number 5 violates"),
+        (b"[]", "descriptor file '{path}' must contain a JSON object"),
+        (b"{", "descriptor file '{path}' is not valid JSON"),
+    ],
+    ids=["unimodular", "euler-relation", "not-an-object", "not-json"],
+)
+def test_refused_descriptor_is_refused_on_every_read(tmp_path, gate_calls, content, message):
+    messages = []
+    for name in ("a.json", "a.json", "b.json"):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            load_descriptor(str(path))
+        assert str(info.value).startswith(message.format(path=path))
+        messages.append(str(info.value).replace(str(path), "{path}"))
+    assert len(set(messages)) == 1
+    assert gate_calls["loads"] == 3
+    assert not manifolds._VALIDATED
+
+
+def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(manifolds, "_VALIDATED", {})
+    m = connected_sum(k3(), surface_product(1, 2), cp2bar())
+    data = json.dumps(descriptor_of(m, label="sum")).encode()
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    load_descriptor(str(path))
+    hit = load_descriptor(str(path))
+    fresh = custom(json.loads(data))
+    assert hit is not fresh
+    assert hit == fresh
+    assert hit.h2.invariants == fresh.h2.invariants == m.h2.invariants
+
+
+def test_memo_keeps_the_most_recently_read_descriptors(tmp_path, gate_calls):
+    paths = []
+    for k in range(MAX_VALIDATED_DESCRIPTORS + 1):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps({"b1": 0, "form": [[-1]], "euler": 3, "label": str(k)}))
+        paths.append(str(path))
+    load_descriptor(paths[0])
+    for path in paths[2:]:
+        load_descriptor(path)
+    load_descriptor(paths[0])  # a hit: now the most recently read
+    load_descriptor(paths[1])  # one past the bound: the least recently read goes
+    assert len(manifolds._VALIDATED) == MAX_VALIDATED_DESCRIPTORS
+    assert gate_calls["_checked"] == MAX_VALIDATED_DESCRIPTORS + 1
+    load_descriptor(paths[0])
+    load_descriptor(paths[2])
+    assert gate_calls["_checked"] == MAX_VALIDATED_DESCRIPTORS + 2
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """The refusal tables of the descriptor gate and of the theorems.
 
-Every ``raise`` in :func:`fourfold.manifolds.custom` and
-:func:`fourfold.manifolds.load_descriptor`, found by walking their
-``ast``, needs a row: a descriptor file that reaches it through
-``fourfold analyze @file``, with the exit code and the message.  Each row
-runs under a line tracer limited to those two functions.  The test fails
+Every ``raise`` of the descriptor gate, found by walking the ``ast`` of
+:func:`fourfold.manifolds.custom`, :func:`fourfold.manifolds.load_descriptor`
+and the functions they call to read, check and admit a descriptor, needs
+a row: a descriptor file that reaches it through ``fourfold analyze
+@file``, with the exit code and the message.  Each row runs under a line
+tracer limited to those functions.  The test fails
 when a ``raise`` has no row, or when a row stops reaching a ``raise`` of
 the table.
 
@@ -50,7 +51,10 @@ from fourfold.manifolds import (
 from fourfold.obstructions import PiRadical
 from fourfold.spinc import canonical_spinc, dirac_index
 
-GATE = (manifolds.custom, manifolds.load_descriptor)
+GATE = (
+    manifolds.custom, manifolds._checked, manifolds._unimodular,
+    manifolds.load_descriptor, manifolds.read_descriptor, manifolds.admit_descriptor,
+)
 THEOREMS = (bordism, obstructions)
 SPINC = (spinc, lattice)
 
@@ -228,6 +232,24 @@ def test_a_dense_form_at_the_rank_budget_is_refused_by_the_digit_cap_uneliminate
         manifolds.custom(descriptor)
     assert eliminated["blocks"] == 0
 
+
+@pytest.mark.parametrize("form, euler", [("e8", 10), ([[2]], 3)], ids=["unimodular", "det-2"])
+def test_an_over_budget_sum_of_a_descriptor_is_refused_uneliminated(monkeypatch, capsys,
+                                                                     tmp_path, form, euler):
+    # Every check of the descriptor but unimodularity comes before the sum
+    # budget, and unimodularity after it: a form that is not unimodular
+    # gets the budget's refusal too.
+    rows = negative_e8() if form == "e8" else form
+    monkeypatch.setattr(manifolds, "_VALIDATED", {})
+    (tmp_path / "d.json").write_text(json.dumps({"b1": 0, "form": rows, "euler": euler}))
+    eliminated = count_eliminations(monkeypatch)
+    assert main(["analyze", f"999999*@{tmp_path / 'd.json'}"]) == 1
+    size = 999999 * (1 + len(rows))
+    assert capsys.readouterr().err == (
+        f"error: connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
+        f"is {size}, over the budget of 1000000\n"
+    )
+    assert eliminated["blocks"] == 0
 
 
 def negative_e8() -> list[list[int]]:
