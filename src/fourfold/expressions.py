@@ -171,21 +171,24 @@ MAX_SUM_SIZE = 1_000_000
 
 def resolve(expr: ManifoldExpression) -> ManifoldData:
     """Size each term in closed form (:func:`generator_rank`; only a
-    descriptor is read for it, and checked for every invariant but
-    unimodularity), refuse a sum whose size, the sum of count*(1 + rank(H2))
-    over its terms, exceeds :data:`MAX_SUM_SIZE`, then check each
-    descriptor's unimodularity (the first check that eliminates a form),
-    build each generator once and take the connected sum of all the pieces
-    in one call, left to right.
+    descriptor is read for it, once per distinct path, and checked for
+    every invariant but unimodularity), refuse a sum whose size, the sum
+    of count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
+    then check each descriptor's unimodularity (the first check that
+    eliminates a form), build each generator once and take the connected
+    sum of all the pieces in one call, left to right.
 
     ``expr`` is what :func:`parse` returns: at least one term, each with
     a count of at least 1, so the sum has at least one piece."""
     sized = []
+    reads = {}
     for term in expr.terms:
         gen = term.gen
         if gen.kind == CUSTOM:
-            data, piece = read_descriptor(gen.path)
-            sized.append((term, (data, piece), piece.h2.rank))
+            if gen not in reads:
+                reads[gen] = read_descriptor(gen.path)
+            read = reads[gen]
+            sized.append((term, read, read[1].h2.rank))
         else:
             sized.append((term, None, generator_rank(gen)))
     size = sum(term.count * (1 + rank) for term, _, rank in sized)

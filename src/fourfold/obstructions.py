@@ -13,7 +13,7 @@ import math
 from .bordism import NONTRIVIAL, certify_family
 from .errors import InapplicableError, ValidationError
 from .expressions import parse_manifold
-from .lattice import _Value, inertia, is_negative_definite, signature
+from .lattice import _Value, is_negative_definite, signature
 from .manifolds import ManifoldData, cp2bar, s1xs3, s4
 from .spinc import SpinCStructure, canonical_spinc
 
@@ -126,22 +126,22 @@ def hitchin_thorpe(x: ManifoldData) -> bool:
     return _hitchin_thorpe(x.euler, signature(x.h2))
 
 
-def _einstein_obstructed(l: int, c1_square: int, chi2: int, pos2: int, tau2: int) -> bool:
-    # The form is unimodular, so no positive direction means definite.
-    if pos2:
-        raise InapplicableError("N2 is not negative definite")
+def _einstein_obstructed(l: int, c1_square: int, chi2: int, tau2: int) -> bool:
     return 12 * l - 3 * (2 * chi2 + 3 * tau2) >= c1_square
 
 
-def _smooth_definite(n: ManifoldData, name: str) -> None:
-    """Refuse a definite N of positive rank whose form is even; called
-    after the definiteness check.
+def _negative_definite(n: ManifoldData, name: str, refusal: str) -> None:
+    """The hypotheses on N that both theorems need: refuse a form that is
+    not negative definite with ``refusal``, then a definite form of
+    positive rank that is even.
 
     By Donaldson's theorem the definite form of a smooth closed oriented
     4-manifold is diagonal, so it is odd when its rank is positive.  Only
     the parity is checked, in O(nnz): an odd form that is not diagonal,
     such as E8 + <-1>, still passes.
     """
+    if not is_negative_definite(n.h2):
+        raise InapplicableError(refusal)
     if n.h2.rank and not any(x % 2 for i, row in enumerate(n.h2.rows) for j, x in row if i == j):
         raise InapplicableError(
             f"{name} has an even definite form of rank {n.h2.rank}, which by "
@@ -155,16 +155,12 @@ def einstein_nonexistence(manifold: ManifoldData, s: SpinCStructure, n2: Manifol
 
     With l certified summands, the verdict is
     12*l - 3*(2*chi(N2) + 3*tau(N2)) >= sum of the summands' c1^2,
-    evaluated exactly with cleared denominators.  N2 must also pass
-    :func:`_smooth_definite`.
+    evaluated exactly with cleared denominators.  N2 must pass
+    :func:`_negative_definite` first.
     """
     _require_nontrivial(manifold, s)
-    pos, neg, _ = inertia(n2.h2)
-    obstructed = _einstein_obstructed(
-        len(manifold.summands), s.c1_square, n2.euler, pos, pos - neg
-    )
-    _smooth_definite(n2, "N2")
-    return obstructed
+    _negative_definite(n2, "N2", "N2 is not negative definite")
+    return _einstein_obstructed(len(manifold.summands), s.c1_square, n2.euler, signature(n2.h2))
 
 
 def yamabe_value(
@@ -172,14 +168,12 @@ def yamabe_value(
 ) -> PiRadical:
     """Yamabe invariant of the sum with N1: -4*pi*sqrt(2 * sum c1^2).
 
-    N1 must be negative definite, pass :func:`_smooth_definite` and carry
-    a metric of nonnegative scalar curvature; the metric hypothesis is not
-    decidable from our data and must be asserted by the caller.
+    N1 must pass :func:`_negative_definite` and carry a metric of
+    nonnegative scalar curvature; the metric hypothesis is not decidable
+    from our data and must be asserted by the caller.
     """
     _require_nontrivial(manifold, s)
-    if not is_negative_definite(n1.h2):
-        raise InapplicableError("metric hypothesis not certified: N1 is not negative definite")
-    _smooth_definite(n1, "N1")
+    _negative_definite(n1, "N1", "metric hypothesis not certified: N1 is not negative definite")
     if not n1_admits_nonneg_scalar:
         raise InapplicableError(
             "metric hypothesis not certified: N1 must be asserted to admit a "
@@ -193,12 +187,13 @@ def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
     = 2 or 3 covered summands with its canonical spin^c structure and N2
     = S^4 # s S^1xS^3 # r ~CP^2.
 
-    chi, b+ and tau of N2 are added up for r = 0, and each further row
-    adds one ~CP^2: chi grows by chi(~CP^2) - 2 (the neck of the connected
-    sum), b+ and tau by those of ~CP^2.  M # N2 has chi(M) + chi(N2) - 2
-    and tau(M) + tau(N2).  Every row's Einstein-nonexistence and
-    Hitchin-Thorpe verdicts are evaluated with the same formulas as
-    :func:`einstein_nonexistence` and :func:`hitchin_thorpe`.
+    chi and tau of N2 are added up for r = 0, and each further row adds
+    one ~CP^2: chi grows by chi(~CP^2) - 2 (the neck of the connected
+    sum), tau by tau(~CP^2).  M # N2 has chi(M) + chi(N2) - 2 and tau(M)
+    + tau(N2).  N2's form is diagonal and negative definite by
+    construction, so it meets :func:`_negative_definite`, and every row's
+    Einstein-nonexistence and Hitchin-Thorpe verdicts are the inequalities
+    of :func:`einstein_nonexistence` and :func:`hitchin_thorpe`.
 
     Each covered summand has 2*chi + 3*tau = c1^2 and tau <= 0, so the
     verdicts follow closed forms, which the table also carries: G =
@@ -222,28 +217,22 @@ def blowup_scan(manifold: ManifoldData, s: int, r_max: int) -> dict:
     c1_square = spin.c1_square
     tau = signature(manifold.h2)
 
-    def profile(x: ManifoldData) -> tuple[int, int, int]:
-        pos, neg, _ = inertia(x.h2)
-        return x.euler, pos, pos - neg
-
-    (chi_s4, pos_s4, tau_s4), (chi_h, pos_h, tau_h), (chi_b, pos_b, tau_b) = map(
-        profile, (s4(), s1xs3(), cp2bar())
+    (chi_s4, tau_s4), (chi_h, tau_h), (chi_b, tau_b) = (
+        (x.euler, signature(x.h2)) for x in (s4(), s1xs3(), cp2bar())
     )
     # N2 at r = 0 is S^4 # s S^1xS^3; every connected sum loses 2 from chi.
     chi2 = chi_s4 + s * (chi_h - 2)
-    pos2 = pos_s4 + s * pos_h
     tau2 = tau_s4 + s * tau_h
     rows = []
     for r in range(r_max + 1):
         rows.append(
             {
                 "r": r,
-                "einstein_obstructed": _einstein_obstructed(l, c1_square, chi2, pos2, tau2),
+                "einstein_obstructed": _einstein_obstructed(l, c1_square, chi2, tau2),
                 "hitchin_thorpe": _hitchin_thorpe(manifold.euler + chi2 - 2, tau + tau2),
             }
         )
         chi2 += chi_b - 2
-        pos2 += pos_b
         tau2 += tau_b
 
     # num/3 in lowest terms: gcd(num, 3) is 1 or 3.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourfold.cli import main
 from fourfold.errors import ValidationError
 from fourfold import manifolds
 from fourfold.lattice import Lattice, determinant, inertia, pairing, signature, zero_vector
@@ -357,6 +358,17 @@ def test_descriptor_bytes_are_validated_once(tmp_path, gate_calls):
     # The same bytes under a second path are the same piece: it holds no path.
     assert pieces[0] is pieces[1] is pieces[2]
     assert gate_calls == {"_checked": 1, "loads": 1}
+
+
+def test_a_sum_reads_each_descriptor_term_once(tmp_path, gate_calls, monkeypatch, capsys):
+    # Two terms with the same path are one read on a fresh file, before the
+    # memo holds the bytes; a second request is a memo hit.
+    (tmp_path / "u.json").write_bytes(_BLOWN)
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["analyze", "@u.json # @u.json # 2*@u.json"]) == 0
+        assert gate_calls == {"_checked": 1, "loads": 1}
+    assert capsys.readouterr().err == ""
 
 
 def test_rewritten_descriptor_is_validated_again(tmp_path, gate_calls):

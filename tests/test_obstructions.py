@@ -1,8 +1,14 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fourfold.cli import main
 from fourfold.errors import InapplicableError, UnsupportedFamilyError, ValidationError
 from fourfold.expressions import parse_manifold
 from fourfold.manifolds import (
@@ -186,6 +192,52 @@ def test_donaldson_check_passes_an_odd_form_that_is_not_diagonal():
     })
     assert einstein_nonexistence(m, s, odd) is True
     assert yamabe_value(m, s, odd, True) == PiRadical(0, 0)
+
+
+# Descriptors for N: the even -E8 of tests/test_refusals.py and the odd
+# -E8 + <-1>, which no smooth closed 4-manifold has either but whose
+# parity passes.
+N_DESCRIPTORS = {
+    "e8.json": {"b1": 0, "form": negative_e8(), "euler": 10, "c1": [0] * 8},
+    "e8-odd.json": {
+        "b1": 0, "form": [row + [0] for row in negative_e8()] + [[0] * 8 + [-1]],
+        "euler": 11, "c1": [0] * 8 + [1],
+    },
+}
+N_PIECES = ("CP2", "~CP2", "S1xS3", "S4", "K3", "SP(1,1)", "@e8.json", "@e8-odd.json")
+
+
+@pytest.fixture(scope="module")
+def n_descriptors(tmp_path_factory):
+    root = tmp_path_factory.mktemp("n")
+    for name, descriptor in N_DESCRIPTORS.items():
+        (root / name).write_text(json.dumps(descriptor))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        yield
+
+
+def _decision(argv, name):
+    """Exit code and refusal of a request, with the name of N and the
+    Yamabe theorem's prefix set aside."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    reason = err.getvalue().replace("metric hypothesis not certified: ", "")
+    return code, reason.replace(name, "N")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(N_PIECES)), min_size=1, max_size=4))
+@example([(1, "@e8.json")])
+@example([(1, "@e8-odd.json")])
+@example([(1, "CP2")])
+def test_einstein_and_yamabe_decide_n_the_same_way(n_descriptors, terms):
+    n = " # ".join(f"{count}*{piece}" for count, piece in terms)
+    einstein = _decision(["einstein", "K3 # K3", "--n2", n], "N2")
+    yamabe = _decision(["yamabe", "K3 # K3", "--n1", n, "--nonneg-scalar"], "N1")
+    assert einstein[0] in (0, 2), (n, einstein)
+    assert einstein == yamabe, n
 
 
 def test_yamabe_permutation_invariant_and_zero_iff_flat_summands():

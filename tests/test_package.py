@@ -43,3 +43,17 @@ def test_readme_library_snippet_runs():
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
     assert values == [4, True, SpinBordismClass(dimension=1, group="Z/2", value="nontrivial")]
+
+
+def test_no_package_function_reads_inertia():
+    # The package reads a form's sign counts through ``signature`` and
+    # ``is_negative_definite``; ``inertia`` stays only as the call counter
+    # of the bench's trace mode.
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = [
+            node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Name) and node.id == "inertia")
+            or (isinstance(node, ast.Attribute) and node.attr == "inertia")
+            or (isinstance(node, ast.alias) and node.name == "inertia")
+        ]
+        assert not uses, (path.name, uses)
