@@ -182,18 +182,6 @@ def test_yamabe_requires_metric_assertion():
         yamabe_value(m, s, cp2(), True)
 
 
-def test_donaldson_check_passes_an_odd_form_that_is_not_diagonal():
-    # No smooth closed 4-manifold has -E8 + <-1>, but only the parity is
-    # checked; tests/test_refusals.py sends the even -E8.
-    m, s = k3_pair()
-    odd = custom({
-        "b1": 0, "form": [row + [0] for row in negative_e8()] + [[0] * 8 + [-1]],
-        "euler": 11, "c1": [0] * 8 + [1],
-    })
-    assert einstein_nonexistence(m, s, odd) is True
-    assert yamabe_value(m, s, odd, True) == PiRadical(0, 0)
-
-
 # Descriptors for N: the even -E8 of tests/test_refusals.py and the odd
 # -E8 + <-1>, which no smooth closed 4-manifold has either but whose
 # parity passes.
@@ -205,6 +193,15 @@ N_DESCRIPTORS = {
     },
 }
 N_PIECES = ("CP2", "~CP2", "S1xS3", "S4", "K3", "SP(1,1)", "@e8.json", "@e8-odd.json")
+
+
+def test_donaldson_check_passes_an_odd_form_that_is_not_diagonal():
+    # No smooth closed 4-manifold has -E8 + <-1>, but only the parity is
+    # checked; tests/test_refusals.py sends the even -E8.
+    m, s = k3_pair()
+    odd = custom(N_DESCRIPTORS["e8-odd.json"])
+    assert einstein_nonexistence(m, s, odd) is True
+    assert yamabe_value(m, s, odd, True) == PiRadical(0, 0)
 
 
 @pytest.fixture(scope="module")

@@ -13,10 +13,10 @@ The same holds for every ``raise`` in :mod:`fourfold.bordism` and
 :mod:`fourfold.obstructions`, and for every ``raise`` in
 :mod:`fourfold.spinc` and :mod:`fourfold.lattice`.  A row there is a
 request wherever a request reaches the ``raise``, and a library call
-otherwise.  Rows may share a ``raise``: the Donaldson refusal is reached
-from ``yamabe`` and from ``einstein``.  A fourth table covers the rest of
-the package: :mod:`fourfold.cli`, :mod:`fourfold.expressions`,
-:func:`fourfold.report._write_json` and
+otherwise.  Rows may share a ``raise``: the definiteness and Donaldson
+refusals of N are each reached from ``yamabe`` and from ``einstein``.  A
+fourth table covers the rest of the package: :mod:`fourfold.cli`,
+:mod:`fourfold.expressions`, :func:`fourfold.report._write_json` and
 :func:`fourfold.manifolds.surface_product_rank`.
 
 No row of the gate's table but the determinant's eliminates a block: the

@@ -3,7 +3,7 @@ the trajectory file of ROADMAP aim 1 (``BENCH_<n>.json`` at the root).
 
 Run from the repository root:
 
-    python3 tools/trajectory.py --commits PARENT CHANGE --seeds 3401 3402 --out BENCH_32.json
+    python3 tools/trajectory.py --commits PARENT CHANGE --seeds 3401 3402 --out BENCH_<n>.json
 
 Each commit is exported with ``git archive`` into a fresh temporary
 directory (under ``$TMPDIR``), and ``bench/run.py --workload W --seed S``
