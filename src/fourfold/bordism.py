@@ -11,7 +11,7 @@ else is refused with an explicit applicability error.
 from __future__ import annotations
 
 from .errors import InapplicableError, UnsupportedFamilyError, ValidationError
-from .lattice import _Value
+from .lattice import EVENTS, _Value
 from .manifolds import K3, SP, ManifoldData
 from .spinc import SpinCStructure
 
@@ -59,6 +59,7 @@ def certify_family(manifold: ManifoldData, s: SpinCStructure) -> SpinBordismClas
     space is a point but its class in the 0-dimensional group is not
     established, so no verdict is offered.
     """
+    EVENTS["certify"] += 1
     for summand in manifold.summands:
         if summand.kind not in (K3, SP):
             raise UnsupportedFamilyError(

@@ -171,9 +171,10 @@ MAX_SUM_SIZE = 1_000_000
 
 def resolve(expr: ManifoldExpression) -> ManifoldData:
     """Size each term in closed form (:func:`generator_rank`; only a
-    descriptor is read for it, once per distinct path, and checked for
-    every invariant but unimodularity), refuse a sum whose size, the sum
-    of count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
+    descriptor is read for it, once per distinct path, and the same bytes
+    under any number of paths are decoded and checked for every invariant
+    but unimodularity once), refuse a sum whose size, the sum of
+    count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
     then check each descriptor's unimodularity (the first check that
     eliminates a form), build each generator once and take the connected
     sum of all the pieces in one call, left to right.
@@ -182,11 +183,13 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
     a count of at least 1, so the sum has at least one piece."""
     sized = []
     reads = {}
+    checked = {}
     for term in expr.terms:
         gen = term.gen
         if gen.kind == CUSTOM:
             if gen not in reads:
-                reads[gen] = read_descriptor(gen.path)
+                data, piece = reads[gen] = read_descriptor(gen.path, checked)
+                checked[data] = piece
             read = reads[gen]
             sized.append((term, read, read[1].h2.rank))
         else:

@@ -4,10 +4,20 @@ Everything here is exact: pairings, inertia and determinants stay in
 arbitrary precision integers, and each block is eliminated once, by a
 symmetric fraction-free (Bareiss) elimination that yields both its
 inertia and its determinant.  No floating point touches any verdict path.
+
+:data:`EVENTS` counts units of work by name, with one increment where
+each unit happens and never one per matrix entry or per scan row:
+``eliminate`` (one block), ``components`` (one search for a form's
+connected components), ``decode`` and ``validate`` (one descriptor's JSON
+decoded, then checked by ``manifolds._checked``), ``generator`` (one built,
+on a miss of its cache), ``sum`` (one connected sum), ``pairing`` (one
+x^T Q y), ``pairings`` (one spin^c structure's cup pairings) and
+``certify`` (one family check).  Tests read its difference across a call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress
@@ -22,6 +32,8 @@ SparseVector = tuple[tuple[int, int], ...]
 Block = tuple[SparseVector, ...]
 # (positive, negative, zero, determinant) of a form, as ``Lattice.invariants``.
 Invariants = tuple[int, int, int, int]
+
+EVENTS: Counter[str] = Counter()
 
 
 class _Value:
@@ -229,6 +241,7 @@ def pairing(lat: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
     rows where x is nonzero."""
     _check_length(lat, x, "x")
     _check_length(lat, y, "y")
+    EVENTS["pairing"] += 1
     return sum(xi * sum(q * y[j] for j, q in lat.rows[i]) for i, xi in enumerate(x) if xi)
 
 
@@ -241,6 +254,7 @@ def _components(rows: Sequence[SparseVector]) -> tuple[Block, ...]:
     adds the unseen rows among its columns, by one set intersection, and
     the search stops early once no row is unseen.  A form that is one
     component is its own block."""
+    EVENTS["components"] += 1
     n = len(rows)
     unseen = set(range(n))
     first = itemgetter(0)
@@ -287,6 +301,7 @@ def _block_invariants(block: Block) -> Invariants:
     has its invariants in closed form, K3 and the 1x1 generators fill
     theirs once per process, and a descriptor file whose bytes passed the
     gate before is not validated again (``manifolds.read_descriptor``)."""
+    EVENTS["eliminate"] += 1
     n = len(block)
     u = [list(dense(row, n)[i:]) for i, row in enumerate(block)]
     pos = neg = 0

@@ -18,6 +18,7 @@ from functools import cache, lru_cache
 
 from .errors import ValidationError
 from .lattice import (
+    EVENTS,
     Lattice,
     SparseVector,
     Vector,
@@ -138,6 +139,7 @@ def _e8_form(sign: int) -> Lattice:
 @cache
 def k3() -> ManifoldData:
     """The K3 surface: b1 = 0, chi = 24, form 2E8(-1) + 3H, tau = -16."""
+    EVENTS["generator"] += 1
     e8, h = _e8_form(-1), Lattice.from_upper(2, {(0, 1): 1})
     form = direct_sum(e8, e8, h, h, h)
     return ManifoldData(
@@ -169,6 +171,7 @@ def surface_product(g: int, gp: int) -> ManifoldData:
     (1 + 2*g*gp, 1 + 2*g*gp, 0, -1), so it is never eliminated.
     """
     rank = surface_product_rank(g, gp)
+    EVENTS["generator"] += 1
     n1, n2 = 2 * g, 2 * gp
 
     def mix(i: int, j: int) -> int:
@@ -206,21 +209,25 @@ def surface_product(g: int, gp: int) -> ManifoldData:
 
 @cache
 def cp2() -> ManifoldData:
+    EVENTS["generator"] += 1
     return ManifoldData(b1=0, h2=diagonal_lattice((1,)), euler=3, summands=(Summand(CP2),))
 
 
 @cache
 def cp2bar() -> ManifoldData:
+    EVENTS["generator"] += 1
     return ManifoldData(b1=0, h2=diagonal_lattice((-1,)), euler=3, summands=(Summand(CP2BAR),))
 
 
 @cache
 def s1xs3() -> ManifoldData:
+    EVENTS["generator"] += 1
     return ManifoldData(b1=1, h2=Lattice(()), euler=0, summands=(Summand(S1XS3),))
 
 
 @cache
 def s4() -> ManifoldData:
+    EVENTS["generator"] += 1
     return ManifoldData(b1=0, h2=Lattice(()), euler=2, summands=(Summand(S4),))
 
 
@@ -258,6 +265,7 @@ def connected_sum(*pieces: ManifoldData) -> ManifoldData:
     Euler relation adds up, the shifted cup indices stay in range, and the
     concatenated c1 is characteristic because each of its parts is
     characteristic for its own block of the form."""
+    EVENTS["sum"] += 1
     cup: dict[tuple[int, int], SparseVector] = {}
     b1 = rank = 0
     for m in pieces:
@@ -307,6 +315,7 @@ def custom(descriptor: Mapping) -> ManifoldData:
 def _checked(descriptor: Mapping) -> ManifoldData:
     """The piece of a descriptor that passes every check of :func:`custom`
     but the last; its form is not eliminated yet."""
+    EVENTS["validate"] += 1
     unknown = set(descriptor) - _DESCRIPTOR_FIELDS
     if unknown:
         raise ValidationError(f"unknown descriptor fields: {sorted(unknown)}")
@@ -413,12 +422,13 @@ _VALIDATED: dict[bytes, ManifoldData] = {}
 MAX_VALIDATED_DESCRIPTORS = 32
 
 
-def read_descriptor(path: str) -> tuple[bytes, ManifoldData]:
+def read_descriptor(path: str, checked: Mapping = {}) -> tuple[bytes, ManifoldData]:
     """The bytes of a descriptor file and its piece, which has passed every
     check of :func:`custom` but unimodularity, so that a caller can weigh
     its rank before the form is eliminated; :func:`admit_descriptor` makes
-    the last check.  Bytes that passed the whole gate before give their
-    validated piece, and are not decoded or checked again."""
+    the last check.  Bytes that passed the whole gate before, or that are
+    among the caller's ``checked`` pieces by their bytes, give that piece,
+    and are not decoded or checked again."""
     import json
 
     try:
@@ -431,9 +441,10 @@ def read_descriptor(path: str) -> tuple[bytes, ManifoldData]:
             f"descriptor file '{path}' is larger than the budget of "
             f"MAX_DESCRIPTOR_BYTES = {MAX_DESCRIPTOR_BYTES} bytes"
         )
-    piece = _VALIDATED.get(data)
+    piece = _VALIDATED.get(data) or checked.get(data)
     if piece is not None:
         return data, piece
+    EVENTS["decode"] += 1
     try:
         descriptor = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:

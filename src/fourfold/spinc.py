@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .errors import IntegralityError, ValidationError
 from .lattice import (
+    EVENTS,
     Vector,
     _check_length,
     _Value,
@@ -139,6 +140,7 @@ def cup_pairing_matrix(manifold: ManifoldData, s: SpinCStructure) -> dict[tuple[
     O(rank + nnz of those rows + len(cup1)) and no b1 x b1 matrix is built.
     :class:`SpinCStructure` calls it once and keeps the result."""
     _check_length(manifold.h2, s.c1, "c1")
+    EVENTS["pairings"] += 1
     rows = manifold.h2.rows
     q_c1: dict[int, int] = {}
     for i, c in enumerate(s.c1):

@@ -2,14 +2,29 @@
 dense oracles that the block-wise lattice invariants and the sparse cup
 classes are checked against, the full-matrix elimination and the
 union-find that the lattice's upper-triangle elimination and component
-search are checked against, and descriptors with wrongly typed fields."""
+search are checked against, descriptors with wrongly typed fields, and
+the work that a block of code counts in ``fourfold.lattice.EVENTS``."""
 
 import json
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from fourfold.lattice import Lattice, dense
+from fourfold.lattice import EVENTS, Lattice, dense
+
+
+@contextmanager
+def counted():
+    """A Counter of the events that the block adds to ``EVENTS``, filled
+    when it ends: compare it whole, so that extra work fails too."""
+    work = Counter()
+    before = EVENTS.copy()
+    try:
+        yield work
+    finally:
+        work.update(EVENTS - before)
 
 
 # (field, value): a valid descriptor with one field replaced by a value of

@@ -1,11 +1,6 @@
-"""Each request certifies the covered family once, runs each public
-function of ``fourfold.bordism`` at most once and builds the
-cup-pairing matrix and the index Chern form at most once, and the
-certificate reads the spin^c facts without deriving them again; a
-scan's cost in connected sums and inertia computations does not grow
-with r_max while each row evaluates both verdicts once, resolving k*X
-takes one connected sum, and each distinct block and generator is built
-once."""
+"""The work of each request, as the events it adds to
+``fourfold.lattice.EVENTS``; and, by counting calls, that the family is
+checked once and without ``fourfold.spinc``, and each scan row once."""
 
 import inspect
 import sys
@@ -16,17 +11,62 @@ import pytest
 import fourfold
 from fourfold.cli import main
 from fourfold.expressions import parse_manifold
-from fourfold.manifolds import custom, k3, surface_product
-from fourfold import bordism, manifolds, obstructions, spinc
+from fourfold.manifolds import GENERATORS, custom, k3, surface_product
+from fourfold import bordism, obstructions, spinc
 from fourfold.obstructions import example_scan
+from genforms import counted
 
-COUNTED = (
-    ("fourfold.bordism", "certify_family"),
-    ("fourfold.manifolds", "connected_sum"),
-    ("fourfold.lattice", "inertia"),
-    ("fourfold.lattice", "pairing"),
-    ("fourfold.spinc", "cup_pairing_matrix"),
-)
+# Once per process: each generator, and the invariants of its blocks.
+BUILT = ("generator", "components", "eliminate")
+
+# One connected sum, c1^2 and the cup pairings, and one family check.
+ONCE = {"sum": 1, "pairing": 1, "pairings": 1, "certify": 1}
+
+# The whole work of each request, served with every generator cache
+# empty.  K3 eliminates its two distinct blocks, E8(-1) and H, each found
+# by one search for components; a surface product's invariants are
+# closed forms; ~CP2, S4 and S1xS3 are searched, and ~CP2 is eliminated.
+WORK = {
+    ("analyze", "8*SP(3,3)"): dict(ONCE, generator=1),
+    ("analyze", "K3 # SP(3,3)"): dict(ONCE, generator=2, components=2, eliminate=2),
+    ("analyze", "SP(2,2) # K3"): dict(ONCE, generator=2, components=2, eliminate=2),
+    ("sigma0", "K3 # K3 # SP(3,1)"): dict(ONCE, generator=2, components=2, eliminate=2),
+    ("sigma0", "2*SP(3,3)"): dict(ONCE, generator=1),
+    ("genus", "K3 # SP(3,3)", "--self-int", "6"):
+        dict(ONCE, generator=2, components=2, eliminate=2),
+    ("genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"):
+        dict(ONCE, generator=2, components=2, eliminate=2),
+    ("einstein", "2*SP(3,3)", "--n2", "40*~CP2"):
+        dict(ONCE, sum=2, generator=2, components=1, eliminate=1),
+    ("yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"):
+        dict(ONCE, sum=2, generator=2, components=1, eliminate=1),
+    ("star", "K3 # SP(3,3)"): {"sum": 1, "pairing": 1, "pairings": 1, "generator": 2,
+                               "components": 2, "eliminate": 2},
+    ("scan", "--G-from", "SP(3,3) # SP(5,3)", "--s", "1", "--r-max", "10"):
+        dict(ONCE, generator=5, components=3, eliminate=1),
+}
+
+# Refused requests, with their exit codes: a refusal of the family or of
+# a later hypothesis comes after the one check of the family, and one
+# before the spin^c structure is built checks nothing.
+REFUSED = {
+    ("sigma0", "K3"): (2, dict(ONCE, generator=1, components=2, eliminate=2)),
+    ("einstein", "2*SP(3,3)", "--n2", "CP2"):
+        (2, dict(ONCE, sum=2, generator=2, components=1, eliminate=1)),
+    ("yamabe", "4*K3", "--n1", "~CP2", "--nonneg-scalar"):
+        (2, dict(ONCE, sum=2, generator=2, components=3, eliminate=3)),
+    ("star", "K3 # K3", "--c1=1"): (1, dict(sum=1, generator=1, components=2, eliminate=2)),
+    ("analyze", "K3 #"): (1, {}),
+}
+
+
+def cold(call, *args):
+    """What ``call(*args)`` returns, and its work, from empty generator caches."""
+    for build in GENERATORS.values():
+        build.cache_clear()
+    with counted() as work:
+        result = call(*args)
+    return result, work
 
 
 def count_calls(monkeypatch, counts, module_name, name):
@@ -44,88 +84,33 @@ def count_calls(monkeypatch, counts, module_name, name):
                 monkeypatch.setattr(module, name, counting)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls of the counted functions."""
-    counts = Counter()
-    for module_name, name in COUNTED:
-        count_calls(monkeypatch, counts, module_name, name)
-    return counts
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
-        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
-        ["genus", "K3 # K3", "--self-int", "6"],
-        ["genus", "K3 # K3", "--self-int", "2", "--genus", "1"],
-        ["sigma0", "K3 # K3 # SP(3,1)"],
-    ],
-)
-def test_request_certifies_once(calls, capsys, argv):
-    assert main(argv + ["--json"]) == 0
+@pytest.mark.parametrize("argv", WORK)
+def test_request_derives_spinc_facts_once(capsys, argv):
+    # Every unit of work of the request, the spin^c facts among them.
+    assert cold(main, [*argv, "--json"]) == (0, WORK[argv])
     capsys.readouterr()
-    assert calls["certify_family"] == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "8*SP(3,3)"],
-        ["analyze", "K3 # SP(3,3)"],
-        ["analyze", "SP(2,2) # K3"],
-        ["sigma0", "K3 # K3 # SP(3,1)"],
-        ["sigma0", "2*SP(3,3)"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
-        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
-        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
-    ],
-)
-def test_request_builds_one_cup_pairing_matrix(calls, capsys, argv):
-    assert main(argv + ["--json"]) == 0
+@pytest.mark.parametrize("argv", WORK)
+def test_request_builds_one_cup_pairing_matrix(capsys, argv):
+    # Served again, in text and in JSON, a request builds nothing, and the
+    # JSON report reads its cup-pairing matrix off the one set of pairings.
+    main([*argv])
+    warm = {event: n for event, n in WORK[argv].items() if event not in BUILT}
+    for form in ([], ["--json"]):
+        with counted() as work:
+            assert main([*argv, *form]) == 0
+        assert work == warm, form
     capsys.readouterr()
-    assert calls["cup_pairing_matrix"] == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "8*SP(3,3)"],
-        ["analyze", "K3 # SP(3,3)"],
-        ["analyze", "SP(2,2) # K3"],
-        ["sigma0", "K3 # K3 # SP(3,1)"],
-        ["sigma0", "2*SP(3,3)"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
-        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
-        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
-    ],
-)
-def test_request_derives_spinc_facts_once(calls, capsys, argv):
-    # c1^2 and the cup pairings are derived when the spin^c structure is
-    # built; the spin^c section, the Dirac index, the moduli dimension and
-    # the family certificate read them from there.
-    assert main(argv + ["--json"]) == 0
+@pytest.mark.parametrize("argv", REFUSED)
+def test_request_certifies_once(capsys, argv):
+    assert cold(main, [*argv, "--json"]) == REFUSED[argv]
     capsys.readouterr()
-    assert (calls["pairing"], calls["cup_pairing_matrix"], calls["certify_family"]) == (1, 1, 1)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "8*SP(3,3)"],
-        ["analyze", "K3 # SP(3,3)"],
-        ["analyze", "SP(2,2) # K3"],
-        ["sigma0", "K3 # K3 # SP(3,1)"],
-        ["sigma0", "2*SP(3,3)"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
-        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
-        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
-    ],
-)
+@pytest.mark.parametrize("argv", WORK)
 def test_request_checks_the_family_once(monkeypatch, capsys, argv):
     # Every public function of fourfold.bordism, so that a second check
     # of the family cannot hide in a new helper.
@@ -138,39 +123,16 @@ def test_request_checks_the_family_once(monkeypatch, capsys, argv):
     counts = Counter()
     for name in public:
         count_calls(monkeypatch, counts, bordism.__name__, name)
-    assert main(argv + ["--json"]) == 0
+    assert main([*argv, "--json"]) == 0
     capsys.readouterr()
-    assert counts["certify_family"] == 1
-    assert max(counts.values()) == 1, counts
+    assert counts["certify_family"] == WORK[argv].get("certify", 0)
+    assert max(counts.values(), default=0) <= 1, counts
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "8*SP(3,3)"],
-        ["analyze", "K3 # SP(3,3)"],
-        ["analyze", "SP(2,2) # K3"],
-        ["sigma0", "K3 # K3 # SP(3,1)"],
-        ["sigma0", "2*SP(3,3)"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "6"],
-        ["genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"],
-        ["einstein", "2*SP(3,3)", "--n2", "40*~CP2"],
-        ["yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"],
-    ],
-)
+@pytest.mark.parametrize("argv", WORK)
 def test_certificate_reads_the_spinc_facts(monkeypatch, capsys, argv):
-    # The spin^c structure derives its facts once, and the halved cup
-    # pairings are the request's one TorusTwoForm (the JSON cup-pairing
-    # matrix is read off it); certify_family calls no function of
-    # fourfold.spinc.
-    built = Counter()
-    init = spinc.TorusTwoForm.__init__
-
-    def counting_init(self, *args):
-        built["TorusTwoForm"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(spinc.TorusTwoForm, "__init__", counting_init)
+    # The spin^c structure derives its facts once; certify_family calls
+    # no function of fourfold.spinc.
     spinc_calls = Counter()
     for name, value in list(vars(spinc).items()):
         if inspect.isfunction(value) and value.__module__ == spinc.__name__:
@@ -189,80 +151,50 @@ def test_certificate_reads_the_spinc_facts(monkeypatch, capsys, argv):
         if getattr(module, "__name__", "").startswith("fourfold."):
             if getattr(module, "certify_family", None) is certify:
                 monkeypatch.setattr(module, "certify_family", certifying)
-    assert main(argv + ["--json"]) == 0
+    assert main([*argv, "--json"]) == 0
     capsys.readouterr()
-    assert built["TorusTwoForm"] == 1
     assert not during, during
 
 
-def test_example_scan_work_independent_of_r_max(calls):
-    per_r_max = {}
+def test_analyze_k3_sum_eliminates_two_distinct_blocks(capsys):
+    # E8(-1) and H, when K3 is built: K3 shares one E8(-1) and one H among
+    # its blocks, and the sum adds up K3's invariants.
+    assert cold(main, ["analyze", "20*K3", "--json"]) == (
+        0, dict(ONCE, generator=1, components=2, eliminate=2))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("expression, work", [("20*K3", ONCE), ("K3 # 438*~CP2", {"sum": 1})],
+                         ids=["20*K3", "K3 # 438*~CP2"])
+def test_sums_never_search_for_components(capsys, expression, work):
+    # Once the generators are built, a sum takes its invariants from its
+    # pieces and never looks for the components of its form.
+    parse_manifold(expression)
+    with counted() as again:
+        assert main(["analyze", expression, "--json"]) == 0
+    capsys.readouterr()
+    assert again == work
+
+
+def test_example_scan_work_independent_of_r_max():
     for r_max in (10, 100):
-        calls.clear()
-        example_scan(3, 3, 5, 3, s=1, r_max=r_max)
-        per_r_max[r_max] = dict(calls)
-    assert per_r_max[10]["certify_family"] == 1
-    assert per_r_max[10] == per_r_max[100]
+        _, work = cold(example_scan, 3, 3, 5, 3, 1, r_max)
+        # SP(3,3), SP(5,3) and the S4, S1xS3 and ~CP2 that N2 adds up.
+        assert work == dict(ONCE, generator=5, components=3, eliminate=1), r_max
 
 
 def test_example_scan_evaluates_each_verdict_once_per_row(monkeypatch):
     counts = Counter()
     for name in ("_einstein_obstructed", "_hitchin_thorpe"):
-        original = getattr(obstructions, name)
-
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(obstructions, name, counting)
+        count_calls(monkeypatch, counts, obstructions.__name__, name)
     r_max = 25
     example_scan(3, 3, 5, 3, s=1, r_max=r_max)
     assert counts == {"_einstein_obstructed": r_max + 1, "_hitchin_thorpe": r_max + 1}
 
 
-def test_resolving_k_copies_is_one_connected_sum(calls, monkeypatch):
-    constructed = Counter()
-    init = manifolds.ManifoldData.__init__
-
-    def counting(self, *args, **kwargs):
-        constructed["ManifoldData"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(manifolds.ManifoldData, "__init__", counting)
-    per_k = {}
+def test_resolving_k_copies_is_one_connected_sum():
     for k in (10, 40):
-        surface_product.cache_clear()
-        calls.clear()
-        constructed.clear()
-        parse_manifold(f"{k}*SP(3,3)")
-        per_k[k] = (calls["connected_sum"], constructed["ManifoldData"])
-    # One connected sum, and only the one SP(3,3) it is built from goes
-    # through the constructor: the sum is assembled with ``_trusted``.
-    assert per_k[10] == per_k[40] == (1, 1)
-
-
-def test_analyze_k3_sum_eliminates_two_distinct_blocks(monkeypatch, capsys):
-    eliminated = Counter()
-    count_calls(monkeypatch, eliminated, "fourfold.lattice", "_block_invariants")
-    k3.cache_clear()
-    assert main(["analyze", "20*K3", "--json"]) == 0
-    capsys.readouterr()
-    # E8(-1) and the hyperbolic plane H, when K3 is built: K3 shares one
-    # E8(-1) and one H among its blocks, and the sum adds up K3's
-    # invariants.
-    assert eliminated["_block_invariants"] == 2
-
-
-@pytest.mark.parametrize("expression", ["20*K3", "K3 # 438*~CP2"])
-def test_sums_never_search_for_components(monkeypatch, capsys, expression):
-    # Once the generators are built, a sum takes its invariants from its
-    # pieces and never looks for the components of its form.
-    parse_manifold(expression)
-    searches = Counter()
-    count_calls(monkeypatch, searches, "fourfold.lattice", "_components")
-    assert main(["analyze", expression, "--json"]) == 0
-    capsys.readouterr()
-    assert searches["_components"] == 0
+        assert cold(parse_manifold, f"{k}*SP(3,3)")[1] == {"generator": 1, "sum": 1}, k
 
 
 def test_generators_are_built_once_and_descriptors_never_cached():

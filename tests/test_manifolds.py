@@ -2,7 +2,6 @@ import copy
 import json
 import pickle
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
 from genforms import (
     WRONG_TYPES,
+    counted,
     cup_class,
     random_descriptor,
     random_unimodular_symmetric,
@@ -331,53 +331,49 @@ def test_load_descriptor(tmp_path):
 
 
 @pytest.fixture
-def gate_calls(monkeypatch):
-    """Count the descriptor gate's checks and JSON decodings from an empty
-    memo of validated descriptors."""
+def empty_memo(monkeypatch):
+    """An empty memo of validated descriptors."""
     monkeypatch.setattr(manifolds, "_VALIDATED", {})
-    counts = Counter()
-    for module, name in ((manifolds, "_checked"), (json, "loads")):
-        original = getattr(module, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    return counts
 
 
 _BLOWN = b'{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}'
+# The gate's work on _BLOWN: its form is one 1x1 block.
+_GATE = {"decode": 1, "validate": 1, "components": 1, "eliminate": 1}
 
 
-def test_descriptor_bytes_are_validated_once(tmp_path, gate_calls):
+def test_descriptor_bytes_are_validated_once(tmp_path, empty_memo):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_bytes(_BLOWN)
     second.write_bytes(_BLOWN)
-    pieces = [load_descriptor(str(p)) for p in (first, first, second)]
+    with counted() as work:
+        pieces = [load_descriptor(str(p)) for p in (first, first, second)]
     # The same bytes under a second path are the same piece: it holds no path.
     assert pieces[0] is pieces[1] is pieces[2]
-    assert gate_calls == {"_checked": 1, "loads": 1}
+    assert work == _GATE
 
 
-def test_a_sum_reads_each_descriptor_term_once(tmp_path, gate_calls, monkeypatch, capsys):
-    # Two terms with the same path are one read on a fresh file, before the
-    # memo holds the bytes; a second request is a memo hit.
+def test_a_sum_reads_each_descriptor_term_once(tmp_path, empty_memo, monkeypatch, capsys):
+    # Terms with the same bytes are decoded and checked once on fresh
+    # files, before the memo holds the bytes, whether they name the same
+    # path or two; a second request is a memo hit.
     (tmp_path / "u.json").write_bytes(_BLOWN)
+    (tmp_path / "v.json").write_bytes(_BLOWN)
     monkeypatch.chdir(tmp_path)
-    for _ in range(2):
-        assert main(["analyze", "@u.json # @u.json # 2*@u.json"]) == 0
-        assert gate_calls == {"_checked": 1, "loads": 1}
+    for gate in (_GATE, {}):
+        with counted() as work:
+            assert main(["analyze", "@u.json # @u.json # 2*@u.json # @v.json"]) == 0
+        assert work == {"sum": 1, "pairing": 1, "pairings": 1, "certify": 1, **gate}
     assert capsys.readouterr().err == ""
 
 
-def test_rewritten_descriptor_is_validated_again(tmp_path, gate_calls):
+def test_rewritten_descriptor_is_validated_again(tmp_path, empty_memo):
     path = tmp_path / "m.json"
     path.write_bytes(_BLOWN)
-    before = load_descriptor(str(path))
-    path.write_bytes(_BLOWN.replace(b"blown", b"other"))
-    after = load_descriptor(str(path))
-    assert gate_calls["_checked"] == 2
+    with counted() as work:
+        before = load_descriptor(str(path))
+        path.write_bytes(_BLOWN.replace(b"blown", b"other"))
+        after = load_descriptor(str(path))
+    assert work == {event: 2 * n for event, n in _GATE.items()}
     assert (before.summands[0].label, after.summands[0].label) == ("blown", "other")
 
 
@@ -391,22 +387,22 @@ def test_rewritten_descriptor_is_validated_again(tmp_path, gate_calls):
     ],
     ids=["unimodular", "euler-relation", "not-an-object", "not-json"],
 )
-def test_refused_descriptor_is_refused_on_every_read(tmp_path, gate_calls, content, message):
+def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, content, message):
     messages = []
-    for name in ("a.json", "a.json", "b.json"):
-        path = tmp_path / name
-        path.write_bytes(content)
-        with pytest.raises(ValidationError) as info:
-            load_descriptor(str(path))
-        assert str(info.value).startswith(message.format(path=path))
-        messages.append(str(info.value).replace(str(path), "{path}"))
+    with counted() as work:
+        for name in ("a.json", "a.json", "b.json"):
+            path = tmp_path / name
+            path.write_bytes(content)
+            with pytest.raises(ValidationError) as info:
+                load_descriptor(str(path))
+            assert str(info.value).startswith(message.format(path=path))
+            messages.append(str(info.value).replace(str(path), "{path}"))
     assert len(set(messages)) == 1
-    assert gate_calls["loads"] == 3
+    assert work["decode"] == 3
     assert not manifolds._VALIDATED
 
 
-def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(manifolds, "_VALIDATED", {})
+def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, empty_memo):
     m = connected_sum(k3(), surface_product(1, 2), cp2bar())
     data = json.dumps(descriptor_of(m, label="sum")).encode()
     path = tmp_path / "m.json"
@@ -419,22 +415,24 @@ def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, monkeypatch):
     assert hit.h2.invariants == fresh.h2.invariants == m.h2.invariants
 
 
-def test_memo_keeps_the_most_recently_read_descriptors(tmp_path, gate_calls):
+def test_memo_keeps_the_most_recently_read_descriptors(tmp_path, empty_memo):
     paths = []
     for k in range(MAX_VALIDATED_DESCRIPTORS + 1):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps({"b1": 0, "form": [[-1]], "euler": 3, "label": str(k)}))
         paths.append(str(path))
-    load_descriptor(paths[0])
-    for path in paths[2:]:
-        load_descriptor(path)
-    load_descriptor(paths[0])  # a hit: now the most recently read
-    load_descriptor(paths[1])  # one past the bound: the least recently read goes
+    with counted() as work:
+        load_descriptor(paths[0])
+        for path in paths[2:]:
+            load_descriptor(path)
+        load_descriptor(paths[0])  # a hit: now the most recently read
+        load_descriptor(paths[1])  # one past the bound: the least recently read goes
     assert len(manifolds._VALIDATED) == MAX_VALIDATED_DESCRIPTORS
-    assert gate_calls["_checked"] == MAX_VALIDATED_DESCRIPTORS + 1
-    load_descriptor(paths[0])
-    load_descriptor(paths[2])
-    assert gate_calls["_checked"] == MAX_VALIDATED_DESCRIPTORS + 2
+    assert work == {event: MAX_VALIDATED_DESCRIPTORS + 1 for event in _GATE}
+    with counted() as work:
+        load_descriptor(paths[0])
+        load_descriptor(paths[2])
+    assert work == _GATE
 
 
 @pytest.mark.parametrize(

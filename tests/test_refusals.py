@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import textwrap
-from collections import Counter
 
 import pytest
 
@@ -50,6 +49,7 @@ from fourfold.manifolds import (
 )
 from fourfold.obstructions import PiRadical
 from fourfold.spinc import canonical_spinc, dirac_index
+from genforms import counted
 
 GATE = (
     manifolds.custom, manifolds._checked, manifolds._unimodular,
@@ -195,42 +195,26 @@ def test_every_raise_of_the_gate_has_one_row_that_reaches_it(capsys, tmp_path):
     assert not missing, f"raises without a row: {missing}"
 
 
-def count_eliminations(monkeypatch) -> Counter:
-    """Count the blocks eliminated from now on, through the one name the
-    lattice module calls."""
-    counts = Counter()
-    eliminate = lattice._block_invariants
-
-    def counting(block):
-        counts["blocks"] += 1
-        return eliminate(block)
-
-    monkeypatch.setattr(lattice, "_block_invariants", counting)
-    return counts
-
-
 @pytest.mark.parametrize("row", TABLE, ids=[row[0] for row in TABLE])
-def test_the_gate_eliminates_no_block_before_the_determinant(monkeypatch, capsys, tmp_path,
-                                                              row):
+def test_the_gate_eliminates_no_block_before_the_determinant(capsys, tmp_path, row):
     row_id, content, code, message = row
     path = tmp_path / f"{row_id}.json"
     write_descriptor(path, content)
-    eliminated = count_eliminations(monkeypatch)
-    assert main(["analyze", f"@{path}"]) == code
+    with counted() as work:
+        assert main(["analyze", f"@{path}"]) == code
     capsys.readouterr()
-    assert eliminated["blocks"] == (1 if row_id == "unimodular" else 0)
+    searched = 1 if row_id == "unimodular" else 0
+    assert (work["components"], work["eliminate"]) == (searched, searched)
 
 
-def test_a_dense_form_at_the_rank_budget_is_refused_by_the_digit_cap_uneliminated(
-    monkeypatch,
-):
+def test_a_dense_form_at_the_rank_budget_is_refused_by_the_digit_cap_uneliminated():
     n = MAX_DESCRIPTOR_RANK
     descriptor = {"b1": 0, "form": [[1 + (i == j) for j in range(n)] for i in range(n)],
                   "euler": n + 2, "c1": [10**18] + [0] * (n - 1)}
-    eliminated = count_eliminations(monkeypatch)
-    with pytest.raises(ValidationError, match="^c1 has an integer of more than 18 digits$"):
+    with counted() as work, pytest.raises(ValidationError,
+                                          match="^c1 has an integer of more than 18 digits$"):
         manifolds.custom(descriptor)
-    assert eliminated["blocks"] == 0
+    assert work == {"validate": 1}
 
 
 @pytest.mark.parametrize("form, euler", [("e8", 10), ([[2]], 3)], ids=["unimodular", "det-2"])
@@ -242,14 +226,14 @@ def test_an_over_budget_sum_of_a_descriptor_is_refused_uneliminated(monkeypatch,
     rows = negative_e8() if form == "e8" else form
     monkeypatch.setattr(manifolds, "_VALIDATED", {})
     (tmp_path / "d.json").write_text(json.dumps({"b1": 0, "form": rows, "euler": euler}))
-    eliminated = count_eliminations(monkeypatch)
-    assert main(["analyze", f"999999*@{tmp_path / 'd.json'}"]) == 1
+    with counted() as work:
+        assert main(["analyze", f"999999*@{tmp_path / 'd.json'}"]) == 1
     size = 999999 * (1 + len(rows))
     assert capsys.readouterr().err == (
         f"error: connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
         f"is {size}, over the budget of 1000000\n"
     )
-    assert eliminated["blocks"] == 0
+    assert work == {"decode": 1, "validate": 1}
 
 
 def negative_e8() -> list[list[int]]:

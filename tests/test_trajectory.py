@@ -65,16 +65,19 @@ def test_runs_are_read_from_their_records_and_summarized(tmp_path):
         record = tmp_path / f"scan-seed{seed}-trace0.json"
         write_record(record, rate, samples)
         runs.append(trajectory.read_run(record, seed, 0, ""))
-    runs.append(trajectory.read_run(tmp_path / "missing.json", 3, 1,
-                                    "record: x\nstatistics.StatisticsError: need 2\n"))
+    traceback = ["Traceback (most recent call last):", '  File "bench/child.py", line 197',
+                 '    "quartiles_s": statistics.quantiles(SPEED.cpu_s, n=4)},',
+                 "statistics.StatisticsError: must have at least two data points"]
+    stderr = "record: x\n" + "\n".join(traceback) + "\nbench: child (run) exited with code 1\n"
+    runs.append(trajectory.read_run(tmp_path / "missing.json", 3, 1, stderr))
     entry = trajectory.summarize(runs)
     check_workload(entry)
     assert [run["speed_samples"] for run in entry["runs"][:3]] == [2, 4, 3]
     assert entry["metrics"]["requests_per_s"]["median"] == 900.0
     assert entry["metrics"]["requests_per_s"]["runs"] == 3
-    assert entry["failed"] == [
-        {"seed": 3, "exit_code": 1, "stderr": "statistics.StatisticsError: need 2"}
-    ]
+    # The child's traceback and the bench's last line, not what came before.
+    kept = "\n".join(traceback + ["bench: child (run) exited with code 1"])
+    assert entry["failed"] == [{"seed": 3, "exit_code": 1, "stderr": kept}]
 
 
 def test_a_single_run_has_no_quartiles(tmp_path):

@@ -18,8 +18,9 @@ commit and workload it holds the median, the quartiles and the run count
 of every end-to-end metric over the runs that exited 0, and every run
 with its seed, exit code, metrics, speed-sample count and peak RSS, read
 from the record that ``bench/run.py`` writes under ``.bench_results/``.  A
-run that exits nonzero is kept, with the last line of its stderr, and
-listed again under ``failed``.
+run that exits nonzero is kept, with the last lines of its stderr (the
+child's traceback comes before the bench's own last line), and listed
+again under ``failed``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The lines of a failed run's stderr that are kept, joined into one string.
+STDERR_LINES_KEPT = 5
 
 
 def export(commit: str, into: Path) -> None:
@@ -61,11 +65,10 @@ def bench_run(copy: Path, workload: str, seed: int) -> dict:
 def read_run(record: Path, seed: int, exit_code: int, stderr: str) -> dict:
     """A run's entry: from its record when it exited 0, whether every
     reply was correct, its metrics (peak RSS among them) and its number
-    of speed samples; else the last line of its stderr."""
+    of speed samples; else the last lines of its stderr."""
     run = {"seed": seed, "exit_code": exit_code}
     if exit_code != 0:
-        lines = stderr.strip().splitlines()
-        run["stderr"] = lines[-1] if lines else ""
+        run["stderr"] = "\n".join(stderr.strip().splitlines()[-STDERR_LINES_KEPT:])
         return run
     data = json.loads(record.read_text())
     metrics = {name: m["value"] for name, m in data["line"]["metrics"].items()}
