@@ -422,7 +422,7 @@ _VALIDATED: dict[bytes, ManifoldData] = {}
 MAX_VALIDATED_DESCRIPTORS = 32
 
 
-def read_descriptor(path: str, checked: Mapping = {}) -> tuple[bytes, ManifoldData]:
+def read_descriptor(path: str, checked: Mapping[bytes, ManifoldData]) -> tuple[bytes, ManifoldData]:
     """The bytes of a descriptor file and its piece, which has passed every
     check of :func:`custom` but unimodularity, so that a caller can weigh
     its rank before the form is eliminated; :func:`admit_descriptor` makes
@@ -474,7 +474,7 @@ def admit_descriptor(data: bytes, piece: ManifoldData) -> ManifoldData:
 def load_descriptor(path: str) -> ManifoldData:
     """The validated piece of a descriptor file: :func:`custom` of its JSON
     object, with the refusals of the file's reading naming its path."""
-    return admit_descriptor(*read_descriptor(path))
+    return admit_descriptor(*read_descriptor(path, {}))
 
 
 def descriptor_of(m: ManifoldData, label: str = "export") -> dict:

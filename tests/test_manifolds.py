@@ -378,16 +378,19 @@ def test_rewritten_descriptor_is_validated_again(tmp_path, empty_memo):
 
 
 @pytest.mark.parametrize(
-    "content, message",
+    "content, message, events",
     [
-        (b'{"b1": 0, "form": [[2]], "euler": 3}', "form determinant is 2"),
-        (b'{"b1": 0, "form": [[-1]], "euler": 5}', "euler number 5 violates"),
-        (b"[]", "descriptor file '{path}' must contain a JSON object"),
-        (b"{", "descriptor file '{path}' is not valid JSON"),
+        (b'{"b1": 0, "form": [[2]], "euler": 3}', "form determinant is 2", _GATE),
+        (b'{"b1": 0, "form": [[-1]], "euler": 5}', "euler number 5 violates",
+         ("decode", "validate")),
+        (b"[]", "descriptor file '{path}' must contain a JSON object", ("decode",)),
+        (b"{", "descriptor file '{path}' is not valid JSON", ("decode",)),
     ],
     ids=["unimodular", "euler-relation", "not-an-object", "not-json"],
 )
-def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, content, message):
+def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, content, message,
+                                                     events):
+    # Each read decodes the bytes again and checks as far as the refusal.
     messages = []
     with counted() as work:
         for name in ("a.json", "a.json", "b.json"):
@@ -398,7 +401,7 @@ def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, conte
             assert str(info.value).startswith(message.format(path=path))
             messages.append(str(info.value).replace(str(path), "{path}"))
     assert len(set(messages)) == 1
-    assert work["decode"] == 3
+    assert work == {event: 3 for event in events}
     assert not manifolds._VALIDATED
 
 
