@@ -169,6 +169,14 @@ def _parse_generator(scanner: _Scanner) -> Summand:
 MAX_SUM_SIZE = 1_000_000
 
 
+# The sums resolved last, by their key, least recently resolved first.  A
+# request resolves at most two expressions, M and its --n1 or --n2, so two
+# entries hold exactly the sums of the request before: the next request
+# about the same M reuses its sum and the spin^c structure kept on it.
+_RESOLVED: dict[tuple, ManifoldData] = {}
+MAX_RESOLVED_SUMS = 2
+
+
 def resolve(expr: ManifoldExpression) -> ManifoldData:
     """Size each term in closed form (:func:`generator_rank`; only a
     descriptor is read for it, once per distinct path, and the same bytes
@@ -176,8 +184,15 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
     but unimodularity once), refuse a sum whose size, the sum of
     count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
     then check each descriptor's unimodularity (the first check that
-    eliminates a form), build each generator once and take the connected
-    sum of all the pieces in one call, left to right.
+    eliminates a form).
+
+    The sum's key is the run-length list of (name, count) over its terms,
+    adjacent equal names merged: a generator's name is its summand and a
+    descriptor's its bytes, so ``2*K3 # 3*K3`` and ``5*K3`` share a key
+    and a file rewritten in place gets a new one.  A sum among the last
+    :data:`MAX_RESOLVED_SUMS` resolved is returned as it is; any other is
+    built, each generator once, as the connected sum of all the pieces in
+    one call, left to right.
 
     ``expr`` is what :func:`parse` returns: at least one term, each with
     a count of at least 1, so the sum has at least one piece."""
@@ -200,14 +215,26 @@ def resolve(expr: ManifoldExpression) -> ManifoldData:
             f"connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
             f"is {size}, over the budget of {MAX_SUM_SIZE}"
         )
-    pieces = []
+    runs = []  # [name, count, piece], the piece None for a generator
     for term, read, _ in sized:
-        if read is None:
-            piece = GENERATORS[term.gen.kind](*(term.gen.genera or ()))
+        name, piece = (term.gen, None) if read is None else (read[0], admit_descriptor(*read))
+        if runs and runs[-1][0] == name:
+            runs[-1][1] += term.count
         else:
-            piece = admit_descriptor(*read)
-        pieces += [piece] * term.count
-    return connected_sum(*pieces)
+            runs.append([name, term.count, piece])
+    key = tuple((name, count) for name, count, _ in runs)
+    m = _RESOLVED.pop(key, None)
+    if m is None:
+        pieces = []
+        for name, count, piece in runs:
+            if piece is None:
+                piece = GENERATORS[name.kind](*(name.genera or ()))
+            pieces += [piece] * count
+        m = connected_sum(*pieces)
+    _RESOLVED[key] = m
+    if len(_RESOLVED) > MAX_RESOLVED_SUMS:
+        del _RESOLVED[next(iter(_RESOLVED))]
+    return m
 
 
 def parse_manifold(expr: str) -> ManifoldData:

@@ -42,9 +42,11 @@ class _Value:
     A subclass keeps its fields in ``__slots__``, sets each once in its
     constructor with ``object.__setattr__``, and names in ``_fields`` the
     ones that count: equality, hashing and repr read those, and a value
-    never equals one of another class.  The one field set after
-    construction is ``Lattice.invariants``, which is derived from the
-    rows and filled on first read.  Assigning or deleting an
+    never equals one of another class.  Two fields are set after
+    construction, and neither is in ``_fields``: ``Lattice.invariants``,
+    derived from the rows and filled on first read, and
+    ``ManifoldData.canonical_spinc``, filled by the first
+    ``canonical_spinc`` of the manifold.  Assigning or deleting an
     attribute raises :class:`AttributeError`; :meth:`_trusted` builds a
     value from all its fields without the constructor's work, and
     pickling and copying go through it.

@@ -101,9 +101,16 @@ class ManifoldData(_Value):
     (j, i) is the negative of (i, j).  The constructor checks nothing:
     :func:`custom` checks outside data, and the package's builders keep
     every invariant.
+
+    ``canonical_spinc`` is the :class:`~fourfold.spinc.SpinCStructure` of
+    ``canonical_c1``, None until the first
+    :func:`~fourfold.spinc.canonical_spinc` of the manifold fills it.
+    Like ``Lattice.invariants`` it is derived, so equality, hashing and
+    repr leave it out.
     """
 
-    __slots__ = _fields = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1")
+    __slots__ = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1", "canonical_spinc")
+    _fields = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1")
 
     def __init__(
         self,
@@ -120,6 +127,7 @@ class ManifoldData(_Value):
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "canonical_c1", canonical_c1)
+        object.__setattr__(self, "canonical_spinc", None)
 
 
 # E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes).
@@ -282,6 +290,7 @@ def connected_sum(*pieces: ManifoldData) -> ManifoldData:
         sum(m.euler for m in pieces) - 2 * (len(pieces) - 1),
         tuple(s for m in pieces for s in m.summands),
         c1,
+        None,
     )
 
 

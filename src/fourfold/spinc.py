@@ -118,11 +118,18 @@ def spinc(manifold: ManifoldData, coords) -> SpinCStructure:
 
 
 def canonical_spinc(manifold: ManifoldData) -> SpinCStructure:
-    if manifold.canonical_c1 is None:
-        raise ValidationError(
-            "manifold carries no canonical spin^c structure; supply c1 explicitly"
-        )
-    return SpinCStructure(manifold.canonical_c1, manifold)
+    """The structure of the manifold's canonical c1, built on the first
+    call and kept in its ``canonical_spinc`` slot, so that the requests
+    that share a resolved sum derive its facts once."""
+    s = manifold.canonical_spinc
+    if s is None:
+        if manifold.canonical_c1 is None:
+            raise ValidationError(
+                "manifold carries no canonical spin^c structure; supply c1 explicitly"
+            )
+        s = SpinCStructure(manifold.canonical_c1, manifold)
+        object.__setattr__(manifold, "canonical_spinc", s)
+    return s
 
 
 def dirac_index(manifold: ManifoldData, s: SpinCStructure) -> int:

@@ -1,11 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fourfold import expressions
+from fourfold import expressions, manifolds
 from fourfold.errors import ParseError, ValidationError
 from fourfold.expressions import (
     MAX_INTEGER_DIGITS,
+    MAX_RESOLVED_SUMS,
     ManifoldExpression,
     Term,
     parse,
@@ -27,6 +30,9 @@ from fourfold.manifolds import (
     k3,
     surface_product,
 )
+from fourfold.spinc import canonical_spinc
+
+from genforms import counted
 
 
 def test_parse_simple_sum():
@@ -193,3 +199,151 @@ EXPRESSIONS = st.lists(
 @given(EXPRESSIONS)
 def test_parse_inverts_str(expr):
     assert parse(str(expr)) == expr
+
+
+# The memo of resolved sums.  The pool names the two descriptors by file
+# name; each test writes them into its own directory.
+_MINUS_ONE = {"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "minus-one"}
+_POOL = [K3, CP2, CP2BAR, S1XS3, S4, "SP(1,2)", "SP(3,3)", "@a.json", "@b.json"]
+_SEPARATORS = ["#", " # ", "\t#\n"]
+
+
+@pytest.fixture(scope="module")
+def descriptors(tmp_path_factory):
+    """A directory with the pool's two descriptors."""
+    root = tmp_path_factory.mktemp("descriptors")
+    (root / "a.json").write_text(json.dumps(_MINUS_ONE))
+    (root / "b.json").write_text(json.dumps(descriptor_of(surface_product(1, 1), label="b")))
+    return root
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    monkeypatch.setattr(expressions, "_RESOLVED", {})
+    monkeypatch.setattr(manifolds, "_VALIDATED", {})
+
+
+RUNS = st.lists(st.tuples(st.sampled_from(_POOL), st.integers(1, 4)), min_size=1, max_size=4)
+
+
+def spell(draw, runs):
+    """One spelling of a sum given as (name, count) runs: each run's count
+    split into terms ``k*X`` or ``X``, joined by any separator."""
+    terms = []
+    for name, count in runs:
+        while count:
+            k = draw(st.integers(1, count))
+            terms.append(name if k == 1 and draw(st.booleans()) else f"{k}*{name}")
+            count -= k
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from(_SEPARATORS)) + term
+    return text
+
+
+def merged(runs):
+    """The runs with adjacent equal names merged: the memo's key, by name."""
+    out = []
+    for name, count in runs:
+        if out and out[-1][0] == name:
+            out[-1] = (name, out[-1][1] + count)
+        else:
+            out.append((name, count))
+    return out
+
+
+def _fresh(text):
+    """The sum of ``text`` resolved with the memo of resolved sums empty."""
+    saved = dict(expressions._RESOLVED)
+    expressions._RESOLVED.clear()
+    try:
+        return parse_manifold(text)
+    finally:
+        expressions._RESOLVED.clear()
+        expressions._RESOLVED.update(saved)
+
+
+@given(st.lists(RUNS, min_size=1, max_size=4), st.data())
+def test_a_remembered_sum_equals_a_fresh_resolve(descriptors, sums, data):
+    # The sums in turn, one of them twice, each time spelled anew: a
+    # remembered sum equals the sum resolved afresh, and one that has the
+    # runs of the sum resolved just before is that sum.
+    sums.insert(data.draw(st.integers(0, len(sums))), data.draw(st.sampled_from(sums)))
+    expressions._RESOLVED.clear()
+    previous = None
+    for runs in sums:
+        text = spell(data.draw, runs).replace("@", f"@{descriptors}/")
+        m = parse_manifold(text)
+        fresh = _fresh(text)
+        assert m == fresh
+        assert canonical_spinc_facts(m) == canonical_spinc_facts(fresh)
+        if previous is not None and merged(previous[0]) == merged(runs):
+            assert m is previous[1]
+        assert len(expressions._RESOLVED) <= MAX_RESOLVED_SUMS
+        previous = runs, m
+
+
+def canonical_spinc_facts(m):
+    if m.canonical_c1 is None:
+        return None
+    s = canonical_spinc(m)
+    return s.c1, s.c1_square, s.pairings, s.dirac_index, s.moduli_dimension, s.condition
+
+
+@pytest.mark.parametrize("runs", [("2*K3 # 3*K3", "5*K3"), ("K3 # @a.json # @a.json",
+                                                           "1*K3#2*@a.json")])
+def test_one_key_per_run_length_list(descriptors, monkeypatch, empty_memos, runs):
+    monkeypatch.chdir(descriptors)
+    first = parse_manifold(runs[0])
+    with counted() as work:
+        assert parse_manifold(runs[1]) is first
+    assert work == {}
+    assert len(expressions._RESOLVED) == 1
+
+
+def test_the_memo_holds_the_two_sums_resolved_last(empty_memos):
+    texts = ["K3", "2*SP(3,3)", "~CP2 # S4"]
+    sums = [parse_manifold(text) for text in texts]
+    assert list(expressions._RESOLVED.values()) == sums[1:]
+    assert MAX_RESOLVED_SUMS == 2
+    with counted() as work:
+        # The two most recent are reused; the first was let go, is built
+        # again, and lets go of the least recently resolved, 2*SP(3,3).
+        assert parse_manifold(texts[2]) is sums[2]
+        assert parse_manifold(texts[1]) is sums[1]
+        again = parse_manifold(texts[0])
+    assert again == sums[0] and again is not sums[0]
+    assert work == {"sum": 1}
+    assert list(expressions._RESOLVED.values()) == [sums[1], again]
+
+
+def test_a_descriptor_rewritten_in_place_is_read_again(tmp_path, monkeypatch, empty_memos):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_MINUS_ONE))
+    before = parse_manifold("K3 # @a.json")
+    path.write_text(json.dumps(dict(_MINUS_ONE, label="rewritten")))
+    with counted() as work:
+        after = parse_manifold("K3 # @a.json")
+    assert [s.label for s in (before.summands[1], after.summands[1])] == ["minus-one",
+                                                                         "rewritten"]
+    assert work == {"decode": 1, "validate": 1, "components": 1, "eliminate": 1, "sum": 1}
+    # Bytes of determinant 2 are refused, and enter neither memo.
+    refused = b'{"b1": 0, "form": [[2]], "euler": 3}'
+    path.write_bytes(refused)
+    held = dict(expressions._RESOLVED)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="form determinant is 2, but Poincare"):
+            parse_manifold("K3 # @a.json")
+    assert expressions._RESOLVED == held
+    assert refused not in manifolds._VALIDATED
+    assert all(name != refused for key in expressions._RESOLVED for name, _ in key)
+
+
+def test_a_deleted_descriptor_is_refused(tmp_path, monkeypatch, empty_memos):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps(_MINUS_ONE))
+    parse_manifold("2*@a.json")
+    (tmp_path / "a.json").unlink()
+    with pytest.raises(ValidationError, match="cannot read descriptor file 'a.json'"):
+        parse_manifold("2*@a.json")

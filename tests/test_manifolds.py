@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fourfold.cli import main
 from fourfold.errors import ValidationError
-from fourfold import manifolds
+from fourfold import expressions, manifolds
 from fourfold.lattice import Lattice, determinant, inertia, pairing, signature, zero_vector
 from fourfold.manifolds import (
     MAX_VALIDATED_DESCRIPTORS,
@@ -332,8 +332,9 @@ def test_load_descriptor(tmp_path):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """An empty memo of validated descriptors."""
+    """Empty memos of validated descriptors and of resolved sums."""
     monkeypatch.setattr(manifolds, "_VALIDATED", {})
+    monkeypatch.setattr(expressions, "_RESOLVED", {})
 
 
 _BLOWN = b'{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}'
@@ -355,14 +356,19 @@ def test_descriptor_bytes_are_validated_once(tmp_path, empty_memo):
 def test_a_sum_reads_each_descriptor_term_once(tmp_path, empty_memo, monkeypatch, capsys):
     # Terms with the same bytes are decoded and checked once on fresh
     # files, before the memo holds the bytes, whether they name the same
-    # path or two; a second request is a memo hit.
+    # path or two; a second request is a memo hit.  Its sum is built
+    # again once the memo of resolved sums is emptied, and a third request
+    # reuses the sum and its spin^c structure.
     (tmp_path / "u.json").write_bytes(_BLOWN)
     (tmp_path / "v.json").write_bytes(_BLOWN)
     monkeypatch.chdir(tmp_path)
-    for gate in (_GATE, {}):
+    shared = {"sum": 1, "pairing": 1, "pairings": 1}
+    for gate, resolved in ((_GATE, shared), ({}, shared), ({}, {})):
+        if resolved:
+            expressions._RESOLVED.clear()
         with counted() as work:
             assert main(["analyze", "@u.json # @u.json # 2*@u.json # @v.json"]) == 0
-        assert work == {"sum": 1, "pairing": 1, "pairings": 1, "certify": 1, **gate}
+        assert work == {"certify": 1, **resolved, **gate}
     assert capsys.readouterr().err == ""
 
 
@@ -611,12 +617,65 @@ def test_values_are_immutable(value):
     assert not hasattr(value, "__dict__")
 
 
-@pytest.mark.parametrize("value", [k3(), connected_sum(k3(), surface_product(3, 1)),
-                                   canonical_spinc(k3())], ids=type)
+def _with_canonical_spinc(m: ManifoldData) -> ManifoldData:
+    canonical_spinc(m)
+    return m
+
+
+# The sum is given its canonical spin^c structure, the last value keeps an
+# empty slot, and the k3() is filled by the structure built on it.
+@pytest.mark.parametrize("value", [k3(),
+                                   _with_canonical_spinc(connected_sum(k3(), surface_product(3, 1))),
+                                   canonical_spinc(k3()), connected_sum(k3(), cp2bar())],
+                         ids=type)
 def test_values_survive_pickle_and_copy(value):
     for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(again) is type(value)
         assert all(getattr(again, f) == getattr(value, f) for f in type(value).__slots__)
+        if isinstance(value, ManifoldData) and value.canonical_c1 is not None:
+            # The kept structure is copied whole, and is the copy's own.
+            kept, s = again.canonical_spinc, value.canonical_spinc
+            assert all(getattr(kept, f) == getattr(s, f) for f in type(s).__slots__)
+            with counted() as work:
+                assert canonical_spinc(again) is kept
+            assert work == {}
+        elif isinstance(value, ManifoldData):
+            assert again.canonical_spinc is None
+
+
+def test_canonical_spinc_is_derived_once_and_kept_on_the_manifold():
+    m = connected_sum(k3(), surface_product(3, 1))
+    assert m.canonical_spinc is None
+    with counted() as work:
+        s = canonical_spinc(m)
+    assert work == {"pairing": 1, "pairings": 1}
+    assert m.canonical_spinc is s
+    with counted() as work:
+        assert canonical_spinc(m) is s
+    assert work == {}
+    # A manifold without a canonical class is refused on every call, and
+    # its slot stays empty.
+    blown = connected_sum(k3(), cp2())
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="no canonical spin"):
+            canonical_spinc(blown)
+    assert blown.canonical_spinc is None
+
+
+def test_the_canonical_spinc_slot_does_not_count():
+    # Equality, hashing and repr read the fields only: a sum with its
+    # structure kept equals one without, and neither fills the other's.
+    # Hashing reads the key that equality compares (the cup1 dict makes a
+    # ManifoldData itself unhashable).
+    filled, empty = (connected_sum(k3(), surface_product(3, 1)) for _ in range(2))
+    canonical_spinc(filled)
+    assert "canonical_spinc" not in ManifoldData._fields
+    assert filled == empty and repr(filled) == repr(empty)
+    assert ManifoldData._key(filled) == ManifoldData._key(empty)
+    assert "canonical_spinc" not in repr(filled)
+    assert empty.canonical_spinc is None
+    with pytest.raises(AttributeError, match="cannot assign to field 'canonical_spinc'"):
+        filled.canonical_spinc = None
 
 
 def test_value_equality_reads_fields_and_class():

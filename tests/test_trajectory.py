@@ -17,10 +17,15 @@ END_TO_END = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(
 
 def check_workload(entry):
     """One commit's entry for one workload: a summary of every end-to-end
-    metric over the runs that exited 0, every run, and the failed runs."""
-    assert set(entry) == {"metrics", "runs", "failed"}
+    metric over the runs that exited 0, every run, and the failed runs; a
+    file written since the speed-sample floor was added also has it."""
+    assert set(entry) - {"speed_samples"} == {"metrics", "runs", "failed"}
     passed = [run for run in entry["runs"] if run["exit_code"] == 0]
     failed = [run for run in entry["runs"] if run["exit_code"] != 0]
+    if "speed_samples" in entry:
+        samples = [run["speed_samples"] for run in passed]
+        assert entry["speed_samples"] == {"min": min(samples, default=None),
+                                          "runs_at_2": samples.count(2)}
     for run in passed:
         assert set(run) == {"seed", "exit_code", "correct", "metrics", "speed_samples"}
         assert set(run["metrics"]) == END_TO_END
@@ -73,6 +78,8 @@ def test_runs_are_read_from_their_records_and_summarized(tmp_path):
     entry = trajectory.summarize(runs)
     check_workload(entry)
     assert [run["speed_samples"] for run in entry["runs"][:3]] == [2, 4, 3]
+    # The floor is over the runs that exited 0; a failed run has no count.
+    assert entry["speed_samples"] == {"min": 2, "runs_at_2": 1}
     assert entry["metrics"]["requests_per_s"]["median"] == 900.0
     assert entry["metrics"]["requests_per_s"]["runs"] == 3
     # The child's traceback and the bench's last line, not what came before.
@@ -87,6 +94,13 @@ def test_a_single_run_has_no_quartiles(tmp_path):
     check_workload(entry)
     assert entry["metrics"]["requests_per_s"] == {"median": 500.0, "q1": None, "q3": None,
                                                   "runs": 1}
+    assert entry["speed_samples"] == {"min": 2, "runs_at_2": 1}
+
+
+def test_a_workload_without_a_passed_run_has_no_sample_floor():
+    entry = trajectory.summarize([trajectory.read_run(Path("missing.json"), 1, 1, "boom\n")])
+    check_workload(entry)
+    assert entry["speed_samples"] == {"min": None, "runs_at_2": 0}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -15,7 +15,8 @@ pairs with each side first in half of them.
 
 The file holds the machine, the Python version and the commits.  For each
 commit and workload it holds the median, the quartiles and the run count
-of every end-to-end metric over the runs that exited 0, and every run
+of every end-to-end metric over the runs that exited 0, the fewest speed
+samples of a run and the number of runs with exactly two, and every run
 with its seed, exit code, metrics, speed-sample count and peak RSS, read
 from the record that ``bench/run.py`` writes under ``.bench_results/``.  A
 run that exits nonzero is kept, with the last lines of its stderr (the
@@ -79,7 +80,10 @@ def read_run(record: Path, seed: int, exit_code: int, stderr: str) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Median, quartiles and run count of each metric over the runs that
-    exited 0; quartiles need two runs."""
+    exited 0; quartiles need two runs.  Also the fewest speed samples a
+    run collected and the number of runs at exactly two, the least that
+    the bench's quartiles of machine speed accept (None and 0 when no run
+    exited 0)."""
     values: dict[str, list[float]] = {}
     for run in runs:
         for name, value in run.get("metrics", {}).items():
@@ -88,8 +92,11 @@ def summarize(runs: list[dict]) -> dict:
     for name, xs in values.items():
         q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (None, xs[0], None)
         summary[name] = {"median": median, "q1": q1, "q3": q3, "runs": len(xs)}
+    samples = [run["speed_samples"] for run in runs if "speed_samples" in run]
     return {
         "metrics": summary,
+        "speed_samples": {"min": min(samples, default=None),
+                          "runs_at_2": samples.count(2)},
         "runs": runs,
         "failed": [{"seed": r["seed"], "exit_code": r["exit_code"], "stderr": r["stderr"]}
                    for r in runs if r["exit_code"] != 0],
