@@ -18,7 +18,7 @@ x^T Q y), ``pairings`` (one spin^c structure's cup pairings) and
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress
 from operator import add, attrgetter, itemgetter
@@ -43,8 +43,8 @@ class _Value:
     constructor with ``object.__setattr__``, and names in ``_fields`` the
     ones that count: equality, hashing and repr read those, and a value
     never equals one of another class.  Two fields are set after
-    construction, and neither is in ``_fields``: ``Lattice.invariants``,
-    derived from the rows and filled on first read, and
+    construction, and neither is in ``_fields``: ``Lattice.invariants``
+    of outside data, derived from the rows and filled on first read, and
     ``ManifoldData.canonical_spinc``, filled by the first
     ``canonical_spinc`` of the manifold.  Assigning or deleting an
     attribute raises :class:`AttributeError`; :meth:`_trusted` builds a
@@ -101,10 +101,10 @@ class Lattice(_Value):
     which checks types, squareness and symmetry.
 
     ``invariants`` is (positive, negative, zero, determinant) of the form,
-    left out of equality, hashing and repr.  :func:`direct_sum` sets it
-    from its parts; any other lattice fills it on first read, from its
-    connected components, so that a descriptor's checks run before its
-    form is eliminated.
+    left out of equality, hashing and repr.  The generators build their
+    forms with it and :func:`direct_sum` adds it up; a form from outside
+    the package fills it on first read, from its connected components, so
+    that a descriptor's checks run before its form is eliminated.
     """
 
     __slots__ = ("rows", "invariants")
@@ -157,16 +157,6 @@ class Lattice(_Value):
             )
         return cls(tuple(map(sparse, rows)))
 
-    @classmethod
-    def from_upper(cls, rank: int, upper: Mapping[tuple[int, int], int]) -> "Lattice":
-        """The form with entries ``{(i, j): x}``, i <= j, mirrored below
-        the diagonal; entries not listed are zero."""
-        rows: list[dict[int, int]] = [{} for _ in range(rank)]
-        for (i, j), x in upper.items():
-            if x:
-                rows[i][j] = rows[j][i] = x
-        return cls(tuple(tuple(sorted(row.items())) for row in rows))
-
 
 _INT = {int}
 
@@ -202,10 +192,6 @@ def dense(v: SparseVector, rank: int) -> Vector:
     for i, x in v:
         out[i] = x
     return tuple(out)
-
-
-def diagonal_lattice(entries: Sequence[int]) -> Lattice:
-    return Lattice.from_upper(len(entries), {(i, i): int(x) for i, x in enumerate(entries)})
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -299,10 +285,8 @@ def _block_invariants(block: Block) -> Invariants:
     entry in the pivot's column is only rescaled.  An all-zero trailing
     block is the radical.
 
-    Nothing is memoized here.  A sum never calls this, a surface product
-    has its invariants in closed form, K3 and the 1x1 generators fill
-    theirs once per process, and a descriptor file whose bytes passed the
-    gate before is not validated again (``manifolds.read_descriptor``)."""
+    It runs only on forms from outside the package, and memoizes
+    nothing."""
     EVENTS["eliminate"] += 1
     n = len(block)
     u = [list(dense(row, n)[i:]) for i, row in enumerate(block)]

@@ -2,9 +2,9 @@
 
 A :class:`ManifoldData` records the algebraic-topological profile of a
 closed oriented 4-manifold: first Betti number, the intersection form on
-the free part of H^2, the cup products of H^1 generators, the Euler
-number, provenance tags, and (when the generator carries one) the first
-Chern class of the complex-structure spin^c structure.
+the free part of H^2, the cup products of H^1 generators, provenance
+tags, and (when the generator carries one) the first Chern class of the
+complex-structure spin^c structure; the Euler number is derived.
 
 Torsion in H^1 and H^2 is ignored throughout; every downstream formula
 factors through the free parts.
@@ -26,7 +26,6 @@ from .lattice import (
     as_vector,
     dense,
     determinant,
-    diagonal_lattice,
     direct_sum,
     is_characteristic,
     sparse,
@@ -109,51 +108,56 @@ class ManifoldData(_Value):
     repr leave it out.
     """
 
-    __slots__ = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1", "canonical_spinc")
-    _fields = ("b1", "h2", "cup1", "euler", "summands", "canonical_c1")
+    __slots__ = ("b1", "h2", "cup1", "summands", "canonical_c1", "canonical_spinc")
+    _fields = ("b1", "h2", "cup1", "summands", "canonical_c1")
 
     def __init__(
         self,
         b1: int,
         h2: Lattice,
         cup1: dict[tuple[int, int], SparseVector] | None = None,
-        euler: int = 0,
         summands: tuple[Summand, ...] = (),
         canonical_c1: Vector | None = None,
     ):
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "h2", h2)
         object.__setattr__(self, "cup1", {} if cup1 is None else cup1)
-        object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "canonical_c1", canonical_c1)
         object.__setattr__(self, "canonical_spinc", None)
 
+    @property
+    def euler(self) -> int:
+        """chi = 2 - 2*b1 + b2, as for every closed oriented 4-manifold."""
+        return 2 - 2 * self.b1 + self.h2.rank
 
-# E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes).
+
+# E8 Dynkin diagram edges in Bourbaki labeling (0-based nodes), and the
+# hyperbolic plane H and the forms of the 1x1 and rank-0 generators, each
+# with its invariants.
 _E8_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
-
-
-def _e8_form(sign: int) -> Lattice:
-    upper = {(i, i): 2 * sign for i in range(8)}
-    upper.update({edge: -sign for edge in _E8_EDGES})
-    return Lattice.from_upper(8, upper)
+_H = Lattice._trusted((((1, 1),), ((0, 1),)), (1, 1, 0, -1))
+_PLUS_ONE = Lattice._trusted((((0, 1),),), (1, 0, 0, 1))
+_MINUS_ONE = Lattice._trusted((((0, -1),),), (0, 1, 0, -1))
+_RANK_ZERO = Lattice._trusted((), (0, 0, 0, 1))
 
 
 # Generators are built on first call and shared: no code mutates a
-# ManifoldData, and a connected sum adds up its pieces' invariants.  K3
-# eliminates its E8(-1) and H blocks once per process; a surface product's
-# invariants are given in closed form.
+# ManifoldData, and a connected sum adds up its pieces' invariants.  Each
+# generator's form is built with its invariants, so none is eliminated.
 @cache
 def k3() -> ManifoldData:
     """The K3 surface: b1 = 0, chi = 24, form 2E8(-1) + 3H, tau = -16."""
     EVENTS["generator"] += 1
-    e8, h = _e8_form(-1), Lattice.from_upper(2, {(0, 1): 1})
-    form = direct_sum(e8, e8, h, h, h)
+    # E8(-1): -2 on the diagonal and 1 on each edge of the Dynkin diagram.
+    rows = [{i: -2} for i in range(8)]
+    for i, j in _E8_EDGES:
+        rows[i][j] = rows[j][i] = 1
+    e8 = Lattice._trusted(tuple(tuple(sorted(row.items())) for row in rows), (0, 8, 0, 1))
+    form = direct_sum(e8, e8, _H, _H, _H)
     return ManifoldData(
         b1=0,
         h2=form,
-        euler=24,
         summands=(Summand(K3),),
         canonical_c1=zero_vector(form),
     )
@@ -175,8 +179,7 @@ def surface_product(g: int, gp: int) -> ManifoldData:
       (u x v).(u' x v') = -<u u'> <v v'> with <x_i y_i> = 1 per factor.
 
     The canonical complex-structure spin^c class is
-    2(1-g) alpha + 2(1-gp) alpha'.  The form is built with its invariants,
-    (1 + 2*g*gp, 1 + 2*g*gp, 0, -1), so it is never eliminated.
+    2(1-g) alpha + 2(1-gp) alpha'.
     """
     rank = surface_product_rank(g, gp)
     EVENTS["generator"] += 1
@@ -188,7 +191,7 @@ def surface_product(g: int, gp: int) -> ManifoldData:
     # u x v pairs only with the product of the symplectic partners,
     # (i ^ 1, j ^ 1), and <u u'> <v v'> = (-1)^i (-1)^j.  The form is H plus
     # 2*g*gp hyperbolic planes, so b+ = b- = 1 + 2*g*gp and det = -1.
-    rows = [((1, 1),), ((0, 1),)]
+    rows = list(_H.rows)
     rows += [((mix(i ^ 1, j ^ 1), (-1) ** (i + j + 1)),) for i in range(n1) for j in range(n2)]
     half = 1 + 2 * g * gp
     form = Lattice._trusted(tuple(rows), (half, half, 0, -1))
@@ -209,7 +212,6 @@ def surface_product(g: int, gp: int) -> ManifoldData:
         b1=n1 + n2,
         h2=form,
         cup1=cup,
-        euler=(2 - 2 * g) * (2 - 2 * gp),
         summands=(Summand(SP, (g, gp)),),
         canonical_c1=tuple(c1),
     )
@@ -218,25 +220,25 @@ def surface_product(g: int, gp: int) -> ManifoldData:
 @cache
 def cp2() -> ManifoldData:
     EVENTS["generator"] += 1
-    return ManifoldData(b1=0, h2=diagonal_lattice((1,)), euler=3, summands=(Summand(CP2),))
+    return ManifoldData(b1=0, h2=_PLUS_ONE, summands=(Summand(CP2),))
 
 
 @cache
 def cp2bar() -> ManifoldData:
     EVENTS["generator"] += 1
-    return ManifoldData(b1=0, h2=diagonal_lattice((-1,)), euler=3, summands=(Summand(CP2BAR),))
+    return ManifoldData(b1=0, h2=_MINUS_ONE, summands=(Summand(CP2BAR),))
 
 
 @cache
 def s1xs3() -> ManifoldData:
     EVENTS["generator"] += 1
-    return ManifoldData(b1=1, h2=Lattice(()), euler=0, summands=(Summand(S1XS3),))
+    return ManifoldData(b1=1, h2=_RANK_ZERO, summands=(Summand(S1XS3),))
 
 
 @cache
 def s4() -> ManifoldData:
     EVENTS["generator"] += 1
-    return ManifoldData(b1=0, h2=Lattice(()), euler=2, summands=(Summand(S4),))
+    return ManifoldData(b1=0, h2=_RANK_ZERO, summands=(Summand(S4),))
 
 
 # The generator names of the expression grammar and their builders; the
@@ -263,16 +265,16 @@ def generator_rank(summand: Summand) -> int:
 
 
 def connected_sum(*pieces: ManifoldData) -> ManifoldData:
-    """Connected sum of the pieces in order: forms add orthogonally, cross
-    cup products vanish, and chi = sum of chi_i - 2(k-1) over k pieces.
+    """Connected sum of the pieces in order: forms add orthogonally, and
+    cross cup products vanish.
 
     Each piece's cup classes are shifted past the indices of the pieces
     before it, and the first piece's are reused as they are, so nothing is
     padded.  The sum is not validated again: every piece was validated
     when it was built, and an orthogonal sum keeps each invariant.  The
-    Euler relation adds up, the shifted cup indices stay in range, and the
-    concatenated c1 is characteristic because each of its parts is
-    characteristic for its own block of the form."""
+    shifted cup indices stay in range, and the concatenated c1 is
+    characteristic because each of its parts is characteristic for its
+    own block of the form."""
     EVENTS["sum"] += 1
     cup: dict[tuple[int, int], SparseVector] = {}
     b1 = rank = 0
@@ -287,7 +289,6 @@ def connected_sum(*pieces: ManifoldData) -> ManifoldData:
         b1,
         direct_sum(*(m.h2 for m in pieces)),
         cup,
-        sum(m.euler for m in pieces) - 2 * (len(pieces) - 1),
         tuple(s for m in pieces for s in m.summands),
         c1,
         None,
@@ -398,7 +399,6 @@ def _checked(descriptor: Mapping) -> ManifoldData:
         b1=b1,
         h2=form,
         cup1=cup,
-        euler=euler,
         summands=(Summand(CUSTOM, label=label),),
         canonical_c1=c1,
     )

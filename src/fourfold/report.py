@@ -9,11 +9,18 @@ same dict, so the two never disagree.
 from __future__ import annotations
 
 from .bordism import SpinBordismClass
+from .errors import ValidationError
 from .lattice import determinant, signature
 from .manifolds import ManifoldData
 from .spinc import SpinCStructure, index_chern_form
 
 SCHEMA_VERSION = 1
+
+# The largest b1 whose dense b1 x b1 cup-pairing and index Chern matrices
+# a JSON report writes.  `fourfold analyze --json` as a subprocess takes
+# 2.4 s of CPU and 650 MB at b1 = 3000 (SP(1499,1)), and 4.0 s and 1.05 GB
+# at b1 = 4000 (peak RSS, 2-vCPU machine, Python 3.11).
+MAX_MATRIX_B1 = 3000
 
 CAVEATS = (
     "torsion in H^1 and H^2 is ignored; all results concern the free parts",
@@ -44,14 +51,18 @@ def spinc_summary(m: ManifoldData, s: SpinCStructure, source: str, matrices: boo
     """The spin^c section, read off the facts ``s`` carries.
 
     ``matrices`` adds the dense b1 x b1 cup-pairing and index Chern
-    matrices of the JSON report; the text report never shows them, so it
-    never builds them.  ``w2`` is the mod-2 data of the approximation
-    bundles for an even approximation dimension (``m_parity`` 0): torus
-    part = index Chern matrix mod 2, h coefficient = Dirac index mod 2,
-    e*h coefficient 0.  An odd cup pairing is refused first, by
-    :func:`index_chern_form`.
+    matrices of the JSON report, up to b1 = :data:`MAX_MATRIX_B1`; the
+    text report never shows them, so it never builds them.  ``w2`` is the
+    mod-2 data of the approximation bundles for an even approximation
+    dimension (``m_parity`` 0): torus part = index Chern matrix mod 2, h
+    coefficient = Dirac index mod 2, e*h coefficient 0.  An odd cup
+    pairing is refused first, by :func:`index_chern_form`.
     """
     chern = index_chern_form(m, s)
+    if matrices and m.b1 > MAX_MATRIX_B1:
+        raise ValidationError(f"JSON report too large: its b1 x b1 matrices have b1 = {m.b1}, "
+                              f"over the budget of MAX_MATRIX_B1 = {MAX_MATRIX_B1}; the text "
+                              "report builds neither")
     condition = s.condition
     section = {"c1": list(s.c1), "source": source, "dirac_index": s.dirac_index}
     if matrices:

@@ -50,6 +50,12 @@ def wrong_type_descriptor(field, value):
     return descriptor
 
 
+def diagonal_lattice(entries):
+    """The diagonal form with these entries, read as outside data."""
+    n = len(entries)
+    return Lattice.from_rows([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+
+
 def random_unimodular(n, rng, steps=None):
     """Integer matrix with determinant +-1, built from elementary ops."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -152,7 +152,6 @@ def _mislabelled_k3_pair():
     return ManifoldData(
         b1=0,
         h2=Lattice.from_rows(((-1,),)),
-        euler=3,
         summands=(Summand(K3), Summand(K3)),
         canonical_c1=(1,),
     )
@@ -169,7 +168,6 @@ def test_bordism_rejects_failed_spin_condition():
     m = ManifoldData(
         b1=0,
         h2=Lattice.from_rows(tuple(tuple(int(i == j) for j in range(8)) for i in range(8))),
-        euler=10,
         summands=(Summand(K3), Summand(K3)),
         canonical_c1=(3, 1, 1, 1, 1, 1, 1, 1),
     )
@@ -185,7 +183,6 @@ def test_certify_rejects_odd_cup_pairing():
         b1=2,
         h2=Lattice.from_rows(((1, 1), (1, 0))),
         cup1={(0, 1): ((0, 1),)},
-        euler=0,
         summands=(Summand(K3), Summand(K3)),
         canonical_c1=(0, 1),
     )
@@ -211,7 +208,7 @@ from fourfold.lattice import Lattice
 from fourfold.manifolds import K3, ManifoldData, Summand
 from fourfold.spinc import canonical_spinc
 
-m = ManifoldData(b1=0, h2=Lattice.from_rows(((-1,),)), euler=3,
+m = ManifoldData(b1=0, h2=Lattice.from_rows(((-1,),)),
                  summands=(Summand(K3), Summand(K3)), canonical_c1=(1,))
 print("optimize", sys.flags.optimize)
 try:

@@ -3,6 +3,7 @@
 checked once and without ``fourfold.spinc``, and each scan row once."""
 
 import inspect
+import json
 import sys
 from collections import Counter
 
@@ -11,13 +12,21 @@ import pytest
 import fourfold
 from fourfold.cli import main
 from fourfold.expressions import _RESOLVED, parse_manifold
-from fourfold.manifolds import GENERATORS, custom, k3, surface_product
+from fourfold.manifolds import (
+    GENERATORS,
+    custom,
+    descriptor_of,
+    k3,
+    load_descriptor,
+    surface_product,
+)
 from fourfold import bordism, obstructions, spinc
 from fourfold.obstructions import example_scan
 from genforms import counted
 
-# Once per process: each generator, and the invariants of its blocks.
-BUILT = ("generator", "components", "eliminate")
+# Once per process: each generator.  Each is built with its invariants,
+# so no generator's form is searched for components or eliminated.
+BUILT = ("generator",)
 
 # Once per sum among the last two resolved: the sum, and the c1^2 and cup
 # pairings of the spin^c structure kept on it.
@@ -27,39 +36,30 @@ SHARED = ("sum", "pairing", "pairings")
 ONCE = {"sum": 1, "pairing": 1, "pairings": 1, "certify": 1}
 
 # The whole work of each request, served with every generator cache and
-# the memo of resolved sums empty.  K3 eliminates its two distinct blocks, E8(-1) and H, each found
-# by one search for components; a surface product's invariants are
-# closed forms; ~CP2, S4 and S1xS3 are searched, and ~CP2 is eliminated.
+# the memo of resolved sums empty.
 WORK = {
     ("analyze", "8*SP(3,3)"): dict(ONCE, generator=1),
-    ("analyze", "K3 # SP(3,3)"): dict(ONCE, generator=2, components=2, eliminate=2),
-    ("analyze", "SP(2,2) # K3"): dict(ONCE, generator=2, components=2, eliminate=2),
-    ("sigma0", "K3 # K3 # SP(3,1)"): dict(ONCE, generator=2, components=2, eliminate=2),
+    ("analyze", "K3 # SP(3,3)"): dict(ONCE, generator=2),
+    ("analyze", "SP(2,2) # K3"): dict(ONCE, generator=2),
+    ("sigma0", "K3 # K3 # SP(3,1)"): dict(ONCE, generator=2),
     ("sigma0", "2*SP(3,3)"): dict(ONCE, generator=1),
-    ("genus", "K3 # SP(3,3)", "--self-int", "6"):
-        dict(ONCE, generator=2, components=2, eliminate=2),
-    ("genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"):
-        dict(ONCE, generator=2, components=2, eliminate=2),
-    ("einstein", "2*SP(3,3)", "--n2", "40*~CP2"):
-        dict(ONCE, sum=2, generator=2, components=1, eliminate=1),
-    ("yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"):
-        dict(ONCE, sum=2, generator=2, components=1, eliminate=1),
-    ("star", "K3 # SP(3,3)"): {"sum": 1, "pairing": 1, "pairings": 1, "generator": 2,
-                               "components": 2, "eliminate": 2},
+    ("genus", "K3 # SP(3,3)", "--self-int", "6"): dict(ONCE, generator=2),
+    ("genus", "K3 # SP(3,3)", "--self-int", "2", "--genus", "3"): dict(ONCE, generator=2),
+    ("einstein", "2*SP(3,3)", "--n2", "40*~CP2"): dict(ONCE, sum=2, generator=2),
+    ("yamabe", "2*SP(3,3)", "--n1", "~CP2", "--nonneg-scalar"): dict(ONCE, sum=2, generator=2),
+    ("star", "K3 # SP(3,3)"): {"sum": 1, "pairing": 1, "pairings": 1, "generator": 2},
     ("scan", "--G-from", "SP(3,3) # SP(5,3)", "--s", "1", "--r-max", "10"):
-        dict(ONCE, generator=5, components=3, eliminate=1),
+        dict(ONCE, generator=5),
 }
 
 # Refused requests, with their exit codes: a refusal of the family or of
 # a later hypothesis comes after the one check of the family, and one
 # before the spin^c structure is built checks nothing.
 REFUSED = {
-    ("sigma0", "K3"): (2, dict(ONCE, generator=1, components=2, eliminate=2)),
-    ("einstein", "2*SP(3,3)", "--n2", "CP2"):
-        (2, dict(ONCE, sum=2, generator=2, components=1, eliminate=1)),
-    ("yamabe", "4*K3", "--n1", "~CP2", "--nonneg-scalar"):
-        (2, dict(ONCE, sum=2, generator=2, components=3, eliminate=3)),
-    ("star", "K3 # K3", "--c1=1"): (1, dict(sum=1, generator=1, components=2, eliminate=2)),
+    ("sigma0", "K3"): (2, dict(ONCE, generator=1)),
+    ("einstein", "2*SP(3,3)", "--n2", "CP2"): (2, dict(ONCE, sum=2, generator=2)),
+    ("yamabe", "4*K3", "--n1", "~CP2", "--nonneg-scalar"): (2, dict(ONCE, sum=2, generator=2)),
+    ("star", "K3 # K3", "--c1=1"): (1, dict(sum=1, generator=1)),
     ("analyze", "K3 #"): (1, {}),
 }
 
@@ -179,12 +179,18 @@ def test_certificate_reads_the_spinc_facts(monkeypatch, capsys, argv):
     assert not during, during
 
 
-def test_analyze_k3_sum_eliminates_two_distinct_blocks(capsys):
-    # E8(-1) and H, when K3 is built: K3 shares one E8(-1) and one H among
-    # its blocks, and the sum adds up K3's invariants.
-    assert cold(main, ["analyze", "20*K3", "--json"]) == (
-        0, dict(ONCE, generator=1, components=2, eliminate=2))
+def test_only_outside_data_is_eliminated(capsys, tmp_path, empty_memos):
+    # K3 is built with the invariants of its E8(-1) and H blocks, and the
+    # sum adds them up: nothing is searched or eliminated.  The same form
+    # read from a descriptor is searched once and each of its five blocks
+    # eliminated once.
+    assert cold(main, ["analyze", "20*K3", "--json"]) == (0, dict(ONCE, generator=1))
     capsys.readouterr()
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(descriptor_of(k3())))
+    with counted() as work:
+        assert load_descriptor(str(path)).h2.invariants == k3().h2.invariants
+    assert work == {"decode": 1, "validate": 1, "components": 1, "eliminate": 5}
 
 
 @pytest.mark.parametrize("expression, work", [("20*K3", ONCE), ("K3 # 438*~CP2", {"sum": 1})],
@@ -205,7 +211,7 @@ def test_example_scan_work_independent_of_r_max():
     for r_max in (10, 100):
         _, work = cold(example_scan, 3, 3, 5, 3, 1, r_max)
         # SP(3,3), SP(5,3) and the S4, S1xS3 and ~CP2 that N2 adds up.
-        assert work == dict(ONCE, generator=5, components=3, eliminate=1), r_max
+        assert work == dict(ONCE, generator=5), r_max
 
 
 def test_example_scan_evaluates_each_verdict_once_per_row(monkeypatch):

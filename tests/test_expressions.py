@@ -217,12 +217,6 @@ def descriptors(tmp_path_factory):
     return root
 
 
-@pytest.fixture
-def empty_memos(monkeypatch):
-    monkeypatch.setattr(expressions, "_RESOLVED", {})
-    monkeypatch.setattr(manifolds, "_VALIDATED", {})
-
-
 RUNS = st.lists(st.tuples(st.sampled_from(_POOL), st.integers(1, 4)), min_size=1, max_size=4)
 
 

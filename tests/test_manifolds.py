@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import pickle
 import random
@@ -35,6 +36,7 @@ from genforms import (
     WRONG_TYPES,
     counted,
     cup_class,
+    full_block_invariants,
     random_descriptor,
     random_unimodular_symmetric,
     wrong_type_descriptor,
@@ -139,6 +141,44 @@ def test_cup_class_symplectic_pairs_land_on_factor_classes():
     # x_1 of the first factor against x_1 of the second is a mixed class
     mixed = cup_class(m, 0, 2 * g)
     assert sum(abs(x) for x in mixed) == 1 and mixed[0] == mixed[1] == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(GENERATORS[name] for name in GENERATORS if name != SP),
+     *(lambda g=g, gp=gp: surface_product(g, gp) for g in range(1, 7) for gp in range(1, 7))],
+    ids=[*(name for name in GENERATORS if name != SP),
+         *(f"SP({g},{gp})" for g in range(1, 7) for gp in range(1, 7))],
+)
+def test_generators_state_the_invariants_of_their_forms(build):
+    # Each generator builds its form with its invariants; the reference
+    # elimination of the dense form gives the same.
+    m = build()
+    assert m.h2.invariants == full_block_invariants(m.h2.form)
+
+
+# Each piece with its Euler number from its topology, not from its form:
+# a product's is the product of its factors', a descriptor's is its field.
+_BLOWN_DESCRIPTOR = {"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}
+_SP11_DESCRIPTOR = descriptor_of(surface_product(1, 1), label="b")
+PIECES_WITH_EULER = st.sampled_from([
+    (k3, 24), (cp2, 3), (cp2bar, 3), (s1xs3, 0), (s4, 2),
+    (lambda: custom(_BLOWN_DESCRIPTOR), 3), (lambda: custom(_SP11_DESCRIPTOR), 0),
+]).map(lambda pair: (pair[0](), pair[1])) | st.builds(
+    lambda g, gp: (surface_product(g, gp), (2 - 2 * g) * (2 - 2 * gp)),
+    st.integers(1, 4), st.integers(1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(PIECES_WITH_EULER, min_size=1, max_size=6))
+def test_euler_is_read_off_b1_and_the_rank(pieces):
+    # chi of a sum of k pieces is the sum of theirs less 2 per neck.
+    m = connected_sum(*(piece for piece, _ in pieces))
+    assert m.euler == 2 - 2 * m.b1 + m.h2.rank
+    assert m.euler == sum(chi for _, chi in pieces) - 2 * (len(pieces) - 1)
+    assert "euler" not in ManifoldData.__slots__
+    assert "euler" not in inspect.signature(ManifoldData).parameters
 
 
 def test_connected_sum_additivity():
@@ -330,19 +370,12 @@ def test_load_descriptor(tmp_path):
         load_descriptor(str(bad))
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """Empty memos of validated descriptors and of resolved sums."""
-    monkeypatch.setattr(manifolds, "_VALIDATED", {})
-    monkeypatch.setattr(expressions, "_RESOLVED", {})
-
-
 _BLOWN = b'{"b1": 0, "form": [[-1]], "euler": 3, "c1": [1], "label": "blown"}'
 # The gate's work on _BLOWN: its form is one 1x1 block.
 _GATE = {"decode": 1, "validate": 1, "components": 1, "eliminate": 1}
 
 
-def test_descriptor_bytes_are_validated_once(tmp_path, empty_memo):
+def test_descriptor_bytes_are_validated_once(tmp_path, empty_memos):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_bytes(_BLOWN)
     second.write_bytes(_BLOWN)
@@ -353,7 +386,7 @@ def test_descriptor_bytes_are_validated_once(tmp_path, empty_memo):
     assert work == _GATE
 
 
-def test_a_sum_reads_each_descriptor_term_once(tmp_path, empty_memo, monkeypatch, capsys):
+def test_a_sum_reads_each_descriptor_term_once(tmp_path, empty_memos, monkeypatch, capsys):
     # Terms with the same bytes are decoded and checked once on fresh
     # files, before the memo holds the bytes, whether they name the same
     # path or two; a second request is a memo hit.  Its sum is built
@@ -372,7 +405,7 @@ def test_a_sum_reads_each_descriptor_term_once(tmp_path, empty_memo, monkeypatch
     assert capsys.readouterr().err == ""
 
 
-def test_rewritten_descriptor_is_validated_again(tmp_path, empty_memo):
+def test_rewritten_descriptor_is_validated_again(tmp_path, empty_memos):
     path = tmp_path / "m.json"
     path.write_bytes(_BLOWN)
     with counted() as work:
@@ -394,7 +427,7 @@ def test_rewritten_descriptor_is_validated_again(tmp_path, empty_memo):
     ],
     ids=["unimodular", "euler-relation", "not-an-object", "not-json"],
 )
-def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, content, message,
+def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memos, content, message,
                                                      events):
     # Each read decodes the bytes again and checks as far as the refusal.
     messages = []
@@ -411,7 +444,7 @@ def test_refused_descriptor_is_refused_on_every_read(tmp_path, empty_memo, conte
     assert not manifolds._VALIDATED
 
 
-def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, empty_memo):
+def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, empty_memos):
     m = connected_sum(k3(), surface_product(1, 2), cp2bar())
     data = json.dumps(descriptor_of(m, label="sum")).encode()
     path = tmp_path / "m.json"
@@ -424,7 +457,7 @@ def test_memo_hit_equals_the_gate_of_the_decoded_bytes(tmp_path, empty_memo):
     assert hit.h2.invariants == fresh.h2.invariants == m.h2.invariants
 
 
-def test_memo_keeps_the_most_recently_read_descriptors(tmp_path, empty_memo):
+def test_memo_keeps_the_most_recently_read_descriptors(tmp_path, empty_memos):
     paths = []
     for k in range(MAX_VALIDATED_DESCRIPTORS + 1):
         path = tmp_path / f"{k}.json"

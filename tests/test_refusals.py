@@ -218,13 +218,12 @@ def test_a_dense_form_at_the_rank_budget_is_refused_by_the_digit_cap_uneliminate
 
 
 @pytest.mark.parametrize("form, euler", [("e8", 10), ([[2]], 3)], ids=["unimodular", "det-2"])
-def test_an_over_budget_sum_of_a_descriptor_is_refused_uneliminated(monkeypatch, capsys,
+def test_an_over_budget_sum_of_a_descriptor_is_refused_uneliminated(empty_memos, capsys,
                                                                      tmp_path, form, euler):
     # Every check of the descriptor but unimodularity comes before the sum
     # budget, and unimodularity after it: a form that is not unimodular
     # gets the budget's refusal too.
     rows = negative_e8() if form == "e8" else form
-    monkeypatch.setattr(manifolds, "_VALIDATED", {})
     (tmp_path / "d.json").write_text(json.dumps({"b1": 0, "form": rows, "euler": euler}))
     with counted() as work:
         assert main(["analyze", f"999999*@{tmp_path / 'd.json'}"]) == 1
@@ -243,10 +242,10 @@ def negative_e8() -> list[list[int]]:
     return rows
 
 
-def _mislabelled(rows, euler, c1):
+def _mislabelled(rows, c1):
     """The data of another manifold, tagged as K3 # K3 with canonical c1."""
     m = ManifoldData(
-        b1=0, h2=Lattice.from_rows(rows), euler=euler,
+        b1=0, h2=Lattice.from_rows(rows),
         summands=(Summand(K3), Summand(K3)), canonical_c1=c1,
     )
     return m, canonical_spinc(m)
@@ -271,10 +270,10 @@ THEOREM_TABLE = [
     # 8<1> with c1^2 = 16: Dirac index 1.
     ("spin-condition",
      lambda: spin_bordism_class(*_mislabelled(
-         [[int(i == j) for j in range(8)] for i in range(8)], 10, (3,) + (1,) * 7)),
+         [[int(i == j) for j in range(8)] for i in range(8)], (3,) + (1,) * 7)),
      ValidationError, "spin condition fails for a covered-family manifold"),
     # ~CP2: the spin condition holds, the moduli dimension is -1.
-    ("moduli-dimension", lambda: spin_bordism_class(*_mislabelled([[-1]], 3, (1,))),
+    ("moduli-dimension", lambda: spin_bordism_class(*_mislabelled([[-1]], (1,))),
      ValidationError, "moduli dimension -1 does not match 2 summands (expected 1)"),
     ("radicand", lambda: PiRadical.of(-4, -1), ValidationError,
      "radicand must be nonnegative, got -1"),
@@ -392,8 +391,10 @@ def test_every_raise_of_spinc_and_lattice_is_reached_by_a_row(capsys, monkeypatc
 
 
 # The rest of the package: the command line, the expression parser, the
-# JSON writer and the closed-form rank of a surface product.
-REST = (cli, expressions, report._write_json, manifolds.surface_product_rank)
+# spin^c section and the JSON writer of a report, and the closed-form rank
+# of a surface product.
+REST = (cli, expressions, report.spinc_summary, report._write_json,
+        manifolds.surface_product_rank)
 
 # (id, argv or library call, exit code or exception type, message), as in
 # THEOREM_TABLE.  No request reaches ``_integer``'s refusal alone:
@@ -417,6 +418,9 @@ REST_TABLE = [
     ("sum-size", ["analyze", "1000000*K3"], 1,
      "connected sum too large: the sum of count*(1 + rank(H2)) over the terms is 23000000, "
      "over the budget of 1000000"),
+    ("matrix-budget", ["analyze", "1000*SP(3,3)", "--json"], 1,
+     "JSON report too large: its b1 x b1 matrices have b1 = 12000, over the budget of "
+     "MAX_MATRIX_B1 = 3000"),
     ("json-type", lambda: report._write_json(object(), "\n", [], json.dumps), TypeError,
      "Object of type object is not JSON serializable"),
     ("genus", ["analyze", "SP(0,1)"], 1, "genus must be positive, got (0,1)"),
@@ -425,3 +429,16 @@ REST_TABLE = [
 
 def test_every_raise_of_the_rest_is_reached_by_a_row(capsys):
     reach_every_raise(capsys, REST, REST_TABLE)
+
+
+def test_the_matrix_budget_refuses_only_json_reports_over_it(monkeypatch, capsys):
+    # SP(1,1) has b1 = 4 and 2*SP(1,1) has b1 = 8.  The text report builds
+    # no matrix, so no b1 refuses it.
+    monkeypatch.setattr(report, "MAX_MATRIX_B1", 4)
+    assert main(["analyze", "SP(1,1)", "--json"]) == 0
+    assert main(["analyze", "2*SP(1,1)"]) == 0
+    capsys.readouterr()
+    assert main(["star", "2*SP(1,1)", "--json"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: JSON report too large: its b1 x b1 matrices have b1 = 8, over the budget of "
+        "MAX_MATRIX_B1 = 4; the text report builds neither\n"))
