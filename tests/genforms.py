@@ -2,8 +2,9 @@
 dense oracles that the block-wise lattice invariants and the sparse cup
 classes are checked against, the full-matrix elimination and the
 union-find that the lattice's upper-triangle elimination and component
-search are checked against, descriptors with wrongly typed fields, and
-the work that a block of code counts in ``fourfold.lattice.EVENTS``."""
+search are checked against, descriptors with wrongly typed fields,
+diagonal forms, and the work that a block of code counts in
+``fourfold.lattice.EVENTS``."""
 
 import json
 from collections import Counter
