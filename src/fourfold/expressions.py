@@ -26,8 +26,9 @@ from .manifolds import (
     Summand,
     admit_descriptor,
     connected_sum,
-    generator_rank,
     read_descriptor,
+    surface_product,
+    surface_product_rank,
 )
 
 
@@ -178,57 +179,60 @@ MAX_RESOLVED_SUMS = 2
 
 
 def resolve(expr: ManifoldExpression) -> ManifoldData:
-    """Size each term in closed form (:func:`generator_rank`; only a
-    descriptor is read for it, once per distinct path, and the same bytes
-    under any number of paths are decoded and checked for every invariant
-    but unimodularity once), refuse a sum whose size, the sum of
-    count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`,
-    then check each descriptor's unimodularity (the first check that
-    eliminates a form).
+    """Read, size and name the terms in one pass, left to right, into runs
+    of adjacent terms with the same name; refuse a sum whose size, the sum
+    of count*(1 + rank(H2)) over its terms, exceeds :data:`MAX_SUM_SIZE`;
+    then admit each descriptor run once, in order, by its unimodularity
+    (the first check that eliminates a form).
 
-    The sum's key is the run-length list of (name, count) over its terms,
-    adjacent equal names merged: a generator's name is its summand and a
-    descriptor's its bytes, so ``2*K3 # 3*K3`` and ``5*K3`` share a key
-    and a file rewritten in place gets a new one.  A sum among the last
-    :data:`MAX_RESOLVED_SUMS` resolved is returned as it is; any other is
-    built, each generator once, as the connected sum of all the pieces in
-    one call, left to right.
+    A descriptor is read once per distinct path, and the same bytes under
+    any number of paths are decoded and checked for every invariant but
+    unimodularity once; its name is its bytes and its rank its piece's.
+    A fixed generator is its builder's piece, built once per process, and
+    its rank is its form's.  ``SP(g,g')`` is sized in closed form by
+    :func:`surface_product_rank`, which refuses the genera the builder
+    would, and is built only after the budget.  A generator's name is its
+    summand.
+
+    The sum's key is the list of its runs' (name, count), so ``2*K3 #
+    3*K3`` and ``5*K3`` share a key and a file rewritten in place gets a
+    new one.  A sum among the last :data:`MAX_RESOLVED_SUMS` resolved is
+    returned as it is; any other is built as the connected sum of all the
+    pieces in one call, left to right.
 
     ``expr`` is what :func:`parse` returns: at least one term, each with
     a count of at least 1, so the sum has at least one piece."""
-    sized = []
+    runs = []  # [name, count, rank, piece], the piece None for SP(g,g') until built
     reads = {}
-    checked = {}
     for term in expr.terms:
         gen = term.gen
         if gen.kind == CUSTOM:
             if gen not in reads:
-                data, piece = reads[gen] = read_descriptor(gen.path, checked)
-                checked[data] = piece
-            read = reads[gen]
-            sized.append((term, read, read[1].h2.rank))
+                reads[gen] = read_descriptor(gen.path, dict(reads.values()))
+            name, piece = reads[gen]
         else:
-            sized.append((term, None, generator_rank(gen)))
-    size = sum(term.count * (1 + rank) for term, _, rank in sized)
+            name, piece = gen, None if gen.kind == SP else GENERATORS[gen.kind]()
+        if runs and runs[-1][0] == name:
+            runs[-1][1] += term.count
+        else:
+            rank = surface_product_rank(*gen.genera) if piece is None else piece.h2.rank
+            runs.append([name, term.count, rank, piece])
+    size = sum(count * (1 + rank) for _, count, rank, _ in runs)
     if size > MAX_SUM_SIZE:
         raise ValidationError(
             f"connected sum too large: the sum of count*(1 + rank(H2)) over the terms "
             f"is {size}, over the budget of {MAX_SUM_SIZE}"
         )
-    runs = []  # [name, count, piece], the piece None for a generator
-    for term, read, _ in sized:
-        name, piece = (term.gen, None) if read is None else (read[0], admit_descriptor(*read))
-        if runs and runs[-1][0] == name:
-            runs[-1][1] += term.count
-        else:
-            runs.append([name, term.count, piece])
-    key = tuple((name, count) for name, count, _ in runs)
+    for run in runs:
+        if isinstance(run[0], bytes):
+            run[3] = admit_descriptor(run[0], run[3])
+    key = tuple((name, count) for name, count, _, _ in runs)
     m = _RESOLVED.pop(key, None)
     if m is None:
         pieces = []
-        for name, count, piece in runs:
+        for name, count, _, piece in runs:
             if piece is None:
-                piece = GENERATORS[name.kind](*(name.genera or ()))
+                piece = surface_product(*name.genera)
             pieces += [piece] * count
         m = connected_sum(*pieces)
     _RESOLVED[key] = m

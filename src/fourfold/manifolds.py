@@ -245,8 +245,6 @@ def s4() -> ManifoldData:
 # SP builder takes the two genera.
 GENERATORS = {K3: k3, SP: surface_product, CP2: cp2, CP2BAR: cp2bar, S1XS3: s1xs3, S4: s4}
 
-_RANKS = {K3: 22, CP2: 1, CP2BAR: 1, S1XS3: 0, S4: 0}
-
 
 def surface_product_rank(g: int, gp: int) -> int:
     """rank H^2 of :func:`surface_product`, 2 + 4*g*gp, without building
@@ -254,14 +252,6 @@ def surface_product_rank(g: int, gp: int) -> int:
     if g < 1 or gp < 1:
         raise ValidationError(f"genus must be positive, got ({g},{gp})")
     return 2 + 4 * g * gp
-
-
-def generator_rank(summand: Summand) -> int:
-    """rank H^2 of the generator a summand names, in closed form, so that
-    a size budget can be checked before the generator is built."""
-    if summand.kind == SP:
-        return surface_product_rank(*summand.genera)
-    return _RANKS[summand.kind]
 
 
 def connected_sum(*pieces: ManifoldData) -> ManifoldData:

@@ -54,13 +54,16 @@ WORK = {
 
 # Refused requests, with their exit codes: a refusal of the family or of
 # a later hypothesis comes after the one check of the family, and one
-# before the spin^c structure is built checks nothing.
+# before the spin^c structure is built checks nothing.  A sum refused by
+# its budget has built only the fixed generators it names.
 REFUSED = {
     ("sigma0", "K3"): (2, dict(ONCE, generator=1)),
     ("einstein", "2*SP(3,3)", "--n2", "CP2"): (2, dict(ONCE, sum=2, generator=2)),
     ("yamabe", "4*K3", "--n1", "~CP2", "--nonneg-scalar"): (2, dict(ONCE, sum=2, generator=2)),
     ("star", "K3 # K3", "--c1=1"): (1, dict(sum=1, generator=1)),
     ("analyze", "K3 #"): (1, {}),
+    ("analyze", "1000000*K3"): (1, {"generator": 1}),
+    ("analyze", "SP(999,999)"): (1, {}),
 }
 
 

@@ -23,12 +23,12 @@ from fourfold.manifolds import (
     cp2bar,
     custom,
     descriptor_of,
-    generator_rank,
     k3,
     load_descriptor,
     s1xs3,
     s4,
     surface_product,
+    surface_product_rank,
 )
 from fourfold.spinc import canonical_spinc, dirac_index, spin_condition, spinc
 
@@ -625,17 +625,15 @@ def test_descriptor_round_trip_of_random_sums(pieces):
     assert again.h2.invariants == m.h2.invariants
 
 
-def test_generator_rank_is_the_built_rank():
-    for name, build in GENERATORS.items():
-        if name != SP:
-            assert generator_rank(Summand(name)) == build().h2.rank, name
+def test_surface_product_rank_is_the_built_rank():
     for g, gp in ((1, 1), (1, 2), (3, 3), (2, 5)):
-        assert generator_rank(Summand(SP, (g, gp))) == surface_product(g, gp).h2.rank
+        assert surface_product_rank(g, gp) == surface_product(g, gp).h2.rank
 
 
-def test_generator_rank_refuses_what_the_builder_refuses():
-    with pytest.raises(ValidationError, match=r"genus must be positive, got \(0,1\)"):
-        generator_rank(Summand(SP, (0, 1)))
+def test_surface_product_rank_refuses_what_the_builder_refuses():
+    for refuse in (surface_product_rank, surface_product):
+        with pytest.raises(ValidationError, match=r"genus must be positive, got \(0,1\)"):
+            refuse(0, 1)
 
 
 @pytest.mark.parametrize("value", [k3(), Summand(SP, (3, 3)), k3().h2], ids=type)

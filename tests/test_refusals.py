@@ -235,6 +235,39 @@ def test_an_over_budget_sum_of_a_descriptor_is_refused_uneliminated(empty_memos,
     assert work == {"decode": 1, "validate": 1}
 
 
+# The files of the order table: bad.json fails a check before
+# unimodularity (its Euler number), det2.json only unimodularity.
+ORDER_FILES = {
+    "bad.json": {"b1": 0, "form": [[-1]], "euler": 5},
+    "det2.json": {"b1": 0, "form": [[2]], "euler": 3},
+}
+
+_GENUS = "genus must be positive, got (0,1)"
+
+# (expression, first error).  The terms are read and sized in order, a
+# descriptor's checks but unimodularity and SP's genus alike; then the sum
+# budget is checked; then each descriptor's unimodularity.
+ORDER_TABLE = [
+    ("SP(0,1) # @bad.json", _GENUS),
+    ("@bad.json # SP(0,1)", "euler number 5 violates chi = 2 - 2*b1 + rank(H2) = 3"),
+    ("@det2.json # SP(0,1)", _GENUS),
+    ("1000000*K3 # @det2.json",
+     "connected sum too large: the sum of count*(1 + rank(H2)) over the terms is 23000002, "
+     "over the budget of 1000000"),
+    ("@det2.json # K3", f"form determinant is 2, {_NOT_UNIMODULAR}"),
+]
+
+
+@pytest.mark.parametrize("expression, message", ORDER_TABLE, ids=[row[0] for row in ORDER_TABLE])
+def test_terms_then_the_budget_then_unimodularity(empty_memos, capsys, monkeypatch, tmp_path,
+                                                 expression, message):
+    for name, descriptor in ORDER_FILES.items():
+        (tmp_path / name).write_text(json.dumps(descriptor))
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", expression]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def negative_e8() -> list[list[int]]:
     rows = [[-2 * (i == j) for j in range(8)] for i in range(8)]
     for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
